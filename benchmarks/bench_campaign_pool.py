@@ -44,7 +44,9 @@ from repro.sim.campaign import (
 )
 from repro.utils.formatting import format_table
 
-WORKERS = 4
+#: Never more workers than cores, so a trajectory entry cannot record an
+#: oversubscribed pool.
+WORKERS = min(4, os.cpu_count() or 1)
 EBN0_GRID = (3.0, 3.5, 4.0)
 
 #: Serial decoder kind -> its compacted batched twin in the registry.
@@ -239,8 +241,8 @@ def test_campaign_shared_pool_vs_pool_per_sweep(benchmark, report_sink, tmp_path
     # The scheduling strategy must never change the physics.
     for label, curve in per_sweep_curves.items():
         assert shared_curves[label].points == curve.points, label
-    # The wall-clock claim needs real cores to back it.
-    if cores >= WORKERS:
+    # The wall-clock claim needs four real cores to back it.
+    if cores >= 4:
         assert speedup >= 1.0, (
             f"shared pool slower than pool-per-sweep: {speedup:.2f}x"
         )

@@ -43,7 +43,6 @@ from repro.fabric.jobs import (
 from repro.fabric.pool import (
     FabricJobError,
     FabricPool,
-    FabricShardInfo,
     FabricStalledError,
 )
 from repro.fabric.worker import default_worker_id, run_worker
@@ -55,7 +54,6 @@ __all__ = [
     "FabricJobError",
     "FabricMismatchError",
     "FabricPool",
-    "FabricShardInfo",
     "FabricStalledError",
     "FaultPlan",
     "FilesystemBroker",
@@ -91,7 +89,6 @@ class FabricConfig:
     local_workers: int = 1
     policy: LeasePolicy = field(default_factory=LeasePolicy)
     fault_plan: FaultPlan | None = None
-    poll_seconds: float = 0.05
     wall_clock: bool | None = None
     fresh: bool = False
 

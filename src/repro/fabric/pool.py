@@ -1,17 +1,15 @@
-"""FabricPool: drive point states through a broker instead of a process pool.
+"""FabricPool: the broker transport under the shared shard-dispatch loop.
 
-This is the fabric's coordinator.  It presents the same surface as
-:class:`~repro.sim.parallel.SharedWorkerPool` — ``run_states(states,
-on_point=, on_shard=)`` over the same :class:`~repro.sim.parallel.PointState`
-book-keeping — so :class:`~repro.sim.campaign.scheduler.CampaignScheduler`
-swaps it in without call-site changes.  The difference is *who executes a
-shard*: instead of ``apply_async`` onto pool processes, each shard becomes a
-self-describing :class:`~repro.fabric.jobs.ShardJob` submitted to a
+:class:`~repro.sim.parallel.ShardTransport.run_states` is the one loop that
+submits shards, folds them in shard order and cancels speculative ones;
+:class:`~repro.sim.parallel.SharedWorkerPool` and this class are the two
+transports it drives.  Here a submitted shard becomes a self-describing
+:class:`~repro.fabric.jobs.ShardJob` handed to a
 :class:`~repro.fabric.broker.Broker`, and any mix of executors may serve it:
 
-* **embedded workers** — in-process executors stepped synchronously by the
-  coordinator loop.  Under the logical clock (``wall_clock=False``) the
-  whole run is a deterministic discrete-event simulation: one loop
+* **embedded workers** — in-process executors stepped synchronously by
+  :meth:`FabricPool.step`.  Under the logical clock (``wall_clock=False``)
+  the whole run is a deterministic discrete-event simulation: one loop
   iteration is one tick, lease grants and expiries happen at exact ticks,
   and a seeded :class:`~repro.fabric.faults.FaultPlan` scripts worker
   deaths, dropped heartbeats, duplicate deliveries and stragglers — the
@@ -22,39 +20,34 @@ self-describing :class:`~repro.fabric.jobs.ShardJob` submitted to a
   :class:`~repro.fabric.broker.FilesystemBroker`.  The coordinator then
   runs on the wall clock and merely submits, reclaims and folds.
 
-Determinism is inherited, not re-proven: shard sizes and seeds come from
-the same :class:`PointState` schedule the process pool uses, completion
-records are idempotent per shard address, and results are folded strictly
-in shard order with the stopping rule on the ordered prefix.  *Which*
-worker computed a shard, how often it was retried, and in what order
-completions landed are all invisible to the folded counts — that is the
-bit-identity guarantee the chaos battery pins.
+Determinism is inherited, not re-proven: shard sizes, seeds, fold order
+and the stopping rule all belong to the shared loop, and completion
+records are idempotent per shard address.  *Which* worker computed a
+shard, how often it was retried, and in what order completions landed are
+all invisible to the folded counts — that is the bit-identity guarantee
+the chaos battery pins.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping
 
 import numpy as np
 
-from repro.obs import clock
-from repro.fabric.broker import (
-    Broker,
-    FabricError,
-    InProcessBroker,
-    LeasePolicy,
-    LeasedShard,
-)
+from repro.fabric.broker import Broker, FabricError, InProcessBroker, LeasedShard
 from repro.fabric.faults import FaultPlan
 from repro.fabric.jobs import ShardJob, result_from_dict, result_to_dict, seed_to_dict
-from repro.sim.montecarlo import MonteCarloSimulator
-from repro.sim.parallel import PointState, PoolEntry
-from repro.sim.results import SimulationPoint
-from repro.sim.sharding import consume_shard
+from repro.obs import clock
+from repro.sim.montecarlo import BatchResult, MonteCarloSimulator
+from repro.sim.parallel import PoolEntry, ShardInfo, ShardTransport, run_shard
 
-__all__ = ["FabricPool", "FabricJobError", "FabricStalledError", "FabricShardInfo"]
+__all__ = ["FabricPool", "FabricJobError", "FabricStalledError", "EXTERNAL_WORKERS"]
+
+#: Executor count presumed when only external workers serve the broker.
+EXTERNAL_WORKERS = 4
+#: Idle sleep between wall-clock iterations that made no progress.
+_POLL_SECONDS = 0.05
 
 
 class FabricJobError(FabricError):
@@ -69,13 +62,6 @@ class FabricStalledError(FabricError):
     reclaim, queued jobs would wait forever.  The store keeps every point
     completed so far — re-running with a healthy fleet resumes from there.
     """
-
-
-@dataclass(frozen=True)
-class FabricShardInfo:
-    """Observer payload for one folded shard: who computed it (by name)."""
-
-    worker: str
 
 
 class _EmbeddedWorker:
@@ -123,34 +109,34 @@ class _EmbeddedWorker:
         self._ticks_left -= 1
         if self._ticks_left > 0:
             return True
-        result = self._pool._execute(job)
-        first = self._pool.broker.complete(job.job_id, result, self.id)
-        if not first:
+        result, info = self._pool._execute(job, self.id)
+        if self._pool.broker.complete(job.job_id, result_to_dict(result), self.id):
+            self._pool._timings[job.job_id] = info
+        else:
             self._pool._emit("duplicate_completion", job=job.job_id, worker=self.id)
         self.completed += 1
         self._lease = None
         return True
 
 
-class FabricPool:
-    """Coordinator driving :class:`PointState`\\ s through a work-lease broker.
+class FabricPool(ShardTransport):
+    """Transport leasing shards through a work broker.
 
     Parameters
     ----------
     entries:
         Same mapping a :class:`~repro.sim.parallel.SharedWorkerPool` takes:
         entry key -> :class:`~repro.sim.parallel.PoolEntry`.  Embedded
-        workers build one simulator per key, lazily, in this process.
+        workers build one simulator per key, lazily, in this process, and
+        time their shards when the entry is ``profiled``.
     broker:
         Any :class:`~repro.fabric.broker.Broker`; defaults to a fresh
-        :class:`~repro.fabric.broker.InProcessBroker` over ``policy``.
-    policy:
-        Lease policy for the default broker (ignored when ``broker`` is
-        given — a broker owns its policy).
+        :class:`~repro.fabric.broker.InProcessBroker`.
     workers:
         Number of embedded workers (``w0`` … ``w{n-1}``).  ``0`` means the
         coordinator only submits and folds — external ``repro fabric
-        worker`` processes must serve the queue (requires ``wall_clock``).
+        worker`` processes must serve the queue (requires ``wall_clock``);
+        the in-flight cap then presumes :data:`EXTERNAL_WORKERS` of them.
     fault_plan:
         Scripted failure schedule for the embedded workers (chaos battery);
         ``None`` is fault-free.
@@ -159,11 +145,6 @@ class FabricPool:
         per tick, fully deterministic, no sleeping.  ``True`` reads
         :func:`repro.obs.clock.wall_time` so TTLs are seconds and external
         workers can participate.
-    poll_seconds:
-        Idle sleep between wall-clock iterations that made no progress.
-    max_inflight:
-        Cap on submitted-but-unfolded shards; defaults to twice the
-        executor count (embedded workers, or 4 presumed external ones).
     on_event:
         Fabric lifecycle observer: ``on_event(event, **fields)`` for
         ``worker_join`` / ``worker_leave`` / ``lease_granted`` /
@@ -178,20 +159,16 @@ class FabricPool:
         entries: Mapping[Any, PoolEntry],
         *,
         broker: Broker | None = None,
-        policy: LeasePolicy | None = None,
         workers: int = 1,
         fault_plan: FaultPlan | None = None,
         wall_clock: bool = False,
-        poll_seconds: float = 0.05,
-        max_inflight: int | None = None,
         on_event: Callable[..., None] | None = None,
     ) -> None:
         if not entries:
             raise ValueError("a FabricPool needs at least one entry")
         self.entries = dict(entries)
-        self.broker: Broker = broker if broker is not None else InProcessBroker(policy)
+        self.broker: Broker = broker if broker is not None else InProcessBroker()
         self.wall_clock = bool(wall_clock)
-        self.poll_seconds = float(poll_seconds)
         self._on_event = on_event
         plan = fault_plan or FaultPlan()
         if workers < 0:
@@ -202,54 +179,46 @@ class FabricPool:
                 "worker; workers=0 only makes sense with wall_clock=True "
                 "and external 'repro fabric worker' processes"
             )
-        self._workers = [
+        self._fleet = [
             _EmbeddedWorker(self, f"w{index}", plan) for index in range(int(workers))
         ]
-        executors = len(self._workers) or 4
-        self.max_inflight = (
-            int(max_inflight) if max_inflight is not None else executors * 2
-        )
+        self.workers = len(self._fleet) or EXTERNAL_WORKERS
+        self._fault_plan = plan
         self._simulators: dict[Any, MonteCarloSimulator] = {}
         self._lease_count = 0
-        self._fault_plan = plan
         self._redispatched: set[str] = set()
+        # Jobs handed to the broker at the start of the next step; jobs the
+        # broker holds that are neither folded nor cancelled; shard timings
+        # of embedded completions awaiting their fold.
+        self._unsubmitted: list[ShardJob] = []
+        self._outstanding: set[str] = set()
+        self._timings: dict[str, ShardInfo] = {}
+        self._started = False
+        self._fleet_progressed = False
+        self._now = 0.0
 
     # ------------------------------------------------------------------ #
-    def __enter__(self) -> "FabricPool":
-        return self
-
     def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
-        self.close()
-
-    def close(self, *, force: bool = False) -> None:
-        """API parity with :class:`SharedWorkerPool`; nothing to tear down."""
-
-    def warmup(self) -> None:
-        """API parity with :class:`SharedWorkerPool`; simulators build lazily."""
+        if self._started:
+            for worker in self._fleet:
+                if not worker.dead:
+                    self._emit("worker_leave", worker=worker.id)
+        # A clean finish tells external workers sharing the broker to exit.
+        mark_done = getattr(self.broker, "mark_done", None)
+        if exc_type is None and mark_done is not None:
+            mark_done()
 
     # ------------------------------------------------------------------ #
     def _emit(self, event: str, **fields: Any) -> None:
         if self._on_event is not None:
             self._on_event(event, **fields)
 
-    def _execute(self, job: ShardJob) -> dict[str, Any]:
+    def _execute(self, job: ShardJob, worker: str) -> tuple[BatchResult, ShardInfo]:
         """Compute one shard exactly as a pool worker would."""
         simulator = self._simulators.get(job.key)
         if simulator is None:
-            entry = self.entries[job.key]
-            simulator = MonteCarloSimulator(
-                entry.code,
-                entry.decoder_factory(),
-                config=entry.config,
-                rng=0,
-                pipeline=entry.pipeline,
-            )
-            self._simulators[job.key] = simulator
-        sigma = simulator.sigma_for(job.ebn0_db)
-        result = simulator.run_batch(
-            job.size, sigma, rng=np.random.default_rng(job.seed_sequence())
-        )
-        return result_to_dict(result)
+            simulator = self._simulators[job.key] = self.entries[job.key].simulator()
+        return run_shard(simulator, job.ebn0_db, job.size, job.seed_sequence(), worker)
 
     def _on_lease_granted(self, leased: LeasedShard, worker: str) -> None:
         self._emit(
@@ -264,32 +233,6 @@ class FabricPool:
                     "duplicate_delivery", job=leased.job.job_id, worker=worker
                 )
         self._lease_count += 1
-
-    # ------------------------------------------------------------------ #
-    def _submit_ready(self, active: Sequence[PointState], now: float) -> None:
-        inflight = sum(len(state.pending) for state in active)
-        made_submission = True
-        while inflight < self.max_inflight and made_submission:
-            made_submission = False
-            for state in active:
-                if inflight >= self.max_inflight:
-                    break
-                shard = state.next_shard()
-                if shard is None:
-                    continue
-                size, child = shard
-                job = ShardJob(
-                    key=str(state.key),
-                    ebn0_db=state.ebn0_db,
-                    shard_index=state.shards_dispatched,
-                    size=int(size),
-                    seed=seed_to_dict(child),
-                )
-                self.broker.submit(job, now=now)
-                state.pending.append((job.job_id, state.shards_dispatched, now))
-                state.shards_dispatched += 1
-                inflight += 1
-                made_submission = True
 
     def _reclaim_and_redispatch(self, now: float) -> None:
         for transition in self.broker.reclaim(now):
@@ -324,54 +267,12 @@ class FabricPool:
                     "straggler_redispatch", job=view.job_id, worker=view.worker
                 )
 
-    def _consume_ready(
-        self, state: PointState, on_shard: Callable | None
-    ) -> bool:
-        """Fold completed shards of ``state`` in strict shard order."""
-        progressed = False
-        while state.pending:
-            job_id, shard_index, dispatched_at = state.pending[0]
-            record = self.broker.result(job_id)
-            if record is None:
-                attempts = self.broker.dead_attempts(job_id)
-                if attempts is not None:
-                    raise FabricJobError(
-                        f"shard {job_id} failed {attempts} attempts and was "
-                        "dead-lettered; the fleet cannot finish this campaign"
-                    )
-                break
-            state.pending.popleft()
-            progressed = True
-            result = result_from_dict(record["result"])
-            if on_shard is not None:
-                on_shard(
-                    state,
-                    shard_index,
-                    result,
-                    FabricShardInfo(worker=str(record.get("worker", "?"))),
-                    dispatched_at,
-                )
-            if not state.stopped and not consume_shard(
-                state.counter, result, state.config
-            ):
-                # Stopping rule hit: everything dispatched beyond this shard
-                # is speculative.  Cancel what is still queued; anything
-                # already leased completes harmlessly (idempotent record,
-                # never folded) or expires into the cancelled set.
-                state.stopped = True
-                for speculative_id, _, _ in state.pending:
-                    self.broker.cancel(speculative_id)
-                state.pending.clear()
-        return progressed
-
-    def _assert_not_stalled(self, active: Sequence[PointState]) -> None:
-        if self.wall_clock:
-            return  # external workers may join at any time
-        if any(not worker.dead for worker in self._workers):
+    def _assert_not_stalled(self) -> None:
+        if any(not worker.dead for worker in self._fleet):
             return
         if self.broker.leases():
             return  # expiries still pending; reclaim will advance things
-        if any(state.pending for state in active):
+        if self._outstanding:
             raise FabricStalledError(
                 "every embedded worker is dead and shards remain queued; "
                 "the campaign cannot progress (completed points are in the "
@@ -379,58 +280,73 @@ class FabricPool:
             )
 
     # ------------------------------------------------------------------ #
-    def run_states(
+    def submit(
         self,
-        states: Sequence[PointState],
-        *,
-        on_point: Callable[[PointState, SimulationPoint], None] | None = None,
-        on_shard: Callable | None = None,
-    ) -> list[SimulationPoint]:
-        """Drive every :class:`PointState` to completion through the broker.
+        key: Hashable,
+        ebn0_db: float,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> str:
+        job = ShardJob(
+            key=str(key),
+            ebn0_db=ebn0_db,
+            shard_index=shard_index,
+            size=int(size),
+            seed=seed_to_dict(seed),
+        )
+        self._unsubmitted.append(job)
+        return job.job_id
 
-        Same contract as :meth:`SharedWorkerPool.run_states`: round-robin
-        dispatch, ``on_point`` in completion order, points returned in input
-        order, and — the entire reason this module exists — counts
-        bit-identical to the serial engine for any fleet and any failure
-        schedule the lease policy survives.
+    def poll(self, handle: str) -> tuple[BatchResult, ShardInfo] | None:
+        record = self.broker.result(handle)
+        if record is None:
+            attempts = self.broker.dead_attempts(handle)
+            if attempts is not None:
+                raise FabricJobError(
+                    f"shard {handle} failed {attempts} attempts and was "
+                    "dead-lettered; the fleet cannot finish this campaign"
+                )
+            return None
+        self._outstanding.discard(handle)
+        info = self._timings.pop(handle, None)
+        if info is None:  # an external worker's record carries no timing
+            info = ShardInfo(str(record.get("worker", "?")))
+        return result_from_dict(record["result"]), info
+
+    def cancel(self, handle: str) -> None:
+        # Anything already leased completes harmlessly (idempotent record,
+        # never folded) or expires into the cancelled set.
+        self.broker.cancel(handle)
+        self._outstanding.discard(handle)
+        self._timings.pop(handle, None)
+
+    def step(self, progressed: bool) -> None:
+        """One tick: close the previous one, then submit, reclaim, work.
+
+        Closing a tick sleeps (wall clock, when nothing moved) or checks for
+        a stall and advances the logical clock; the jobs submitted since are
+        handed to the broker only afterwards, so every tick runs in the
+        order stall check, submit, reclaim, embedded workers, fold.
         """
-        for state in states:
-            if state.key not in self.entries:
-                raise KeyError(f"state references unknown pool entry {state.key!r}")
-        if not states:
-            return []
-        for worker in self._workers:
-            self._emit("worker_join", worker=worker.id)
-        now = clock.wall_time() if self.wall_clock else 0.0
-        active = list(states)
-        try:
-            while active:
-                self._submit_ready(active, now)
-                self._reclaim_and_redispatch(now)
-                progressed = False
-                for worker in self._workers:
-                    if worker.step(now):
-                        progressed = True
-                for state in active:
-                    if self._consume_ready(state, on_shard):
-                        progressed = True
-                finished = [state for state in active if state.done]
-                for state in finished:
-                    active.remove(state)
-                    progressed = True
-                    if on_point is not None:
-                        on_point(state, state.to_point())
-                if not active:
-                    break
-                if self.wall_clock:
-                    if not progressed:
-                        time.sleep(self.poll_seconds)
-                    now = clock.wall_time()
-                else:
-                    self._assert_not_stalled(active)
-                    now += 1.0
-        finally:
-            for worker in self._workers:
-                if not worker.dead:
-                    self._emit("worker_leave", worker=worker.id)
-        return [state.to_point() for state in states]
+        if not self._started:
+            self._started = True
+            for worker in self._fleet:
+                self._emit("worker_join", worker=worker.id)
+            self._now = clock.wall_time() if self.wall_clock else 0.0
+        elif self.wall_clock:
+            if not (progressed or self._fleet_progressed):
+                time.sleep(_POLL_SECONDS)
+            self._now = clock.wall_time()
+        else:
+            self._assert_not_stalled()
+            self._now += 1.0
+        for job in self._unsubmitted:
+            self.broker.submit(job, now=self._now)
+            self._outstanding.add(job.job_id)
+        self._unsubmitted.clear()
+        self._reclaim_and_redispatch(self._now)
+        self._fleet_progressed = False
+        for worker in self._fleet:
+            if worker.step(self._now):
+                self._fleet_progressed = True

@@ -29,8 +29,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-import numpy as np
-
 from repro.obs import clock
 from repro.fabric.broker import FabricError, FilesystemBroker
 from repro.fabric.jobs import ShardJob, result_to_dict
@@ -41,6 +39,7 @@ from repro.sim.campaign.spec import (
     config_from_dict,
 )
 from repro.sim.montecarlo import MonteCarloSimulator
+from repro.sim.parallel import PoolEntry, run_shard
 
 __all__ = ["run_worker", "default_worker_id"]
 
@@ -99,16 +98,13 @@ class _SimulatorCache:
         code_key = json.dumps(entry["code"], sort_keys=True)
         code = self._codes.get(code_key)
         if code is None:
-            code = CodeSpec.from_dict(entry["code"]).build()
-            self._codes[code_key] = code
-        simulator = MonteCarloSimulator(
+            code = self._codes[code_key] = CodeSpec.from_dict(entry["code"]).build()
+        simulator = self._simulators[key] = PoolEntry(
             code,
-            DecoderSpec.from_dict(entry["decoder"]).build(code),
-            config=config_from_dict(entry["config"]),
-            rng=0,
-            pipeline=ChannelSpec.from_dict(entry["channel"]).build(),
-        )
-        self._simulators[key] = simulator
+            DecoderSpec.from_dict(entry["decoder"]).factory(code),
+            config_from_dict(entry["config"]),
+            ChannelSpec.from_dict(entry["channel"]).build(),
+        ).simulator()
         return simulator
 
 
@@ -175,10 +171,9 @@ def run_worker(
         if on_job is not None:
             on_job(job)
         simulator = cache.simulator_for(job.key)
-        sigma = simulator.sigma_for(job.ebn0_db)
         with _Heartbeat(broker, job.job_id, worker):
-            result = simulator.run_batch(
-                job.size, sigma, rng=np.random.default_rng(job.seed_sequence())
+            result, _ = run_shard(
+                simulator, job.ebn0_db, job.size, job.seed_sequence(), worker
             )
         broker.complete(job.job_id, result_to_dict(result), worker)
         completed += 1

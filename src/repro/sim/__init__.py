@@ -9,20 +9,24 @@ target error count or frame budget is reached;
 :class:`~repro.sim.results.SimulationCurve` objects that can be serialized,
 compared and printed as the rows of a waterfall plot.
 
-:class:`~repro.sim.parallel.ParallelMonteCarloEngine` shards the same frame
-budgets over a ``multiprocessing`` worker pool (``EbN0Sweep(..., workers=N)``)
-and reproduces the serial engine's counts bit for bit for any worker count —
-the shard schedule and per-shard RNG streams live in
-:mod:`repro.sim.sharding` and are shared by both engines.
+:mod:`repro.sim.parallel` holds the one loop every parallel run goes
+through: it shards the same frame budgets, submits them over a transport —
+the ``multiprocessing`` :class:`~repro.sim.parallel.SharedWorkerPool`
+(``EbN0Sweep(..., workers=N)``) or the broker-leased
+:class:`~repro.fabric.pool.FabricPool` — and folds the results in shard
+order, reproducing the serial reference
+(:meth:`~repro.sim.montecarlo.MonteCarloSimulator.run_point`) bit for bit.
+The shard schedule and per-shard RNG streams live in
+:mod:`repro.sim.sharding`.
 
-:mod:`repro.sim.campaign` builds on the same pool to run whole experiment
-grids — many (code, decoder, channel, config) combinations — through one
-shared worker pool with an incrementally persisted, resumable result store.
+:mod:`repro.sim.campaign` runs whole experiment grids — many (code,
+decoder, channel, config) combinations — through that loop, with an
+incrementally persisted, resumable result store.
 """
 
 from repro.sim.crossing import Crossing, crossing_ebn0, curve_crossing
 from repro.sim.montecarlo import BatchResult, MonteCarloSimulator, SimulationConfig
-from repro.sim.parallel import ParallelMonteCarloEngine, PoolEntry, SharedWorkerPool
+from repro.sim.parallel import PoolEntry, SharedWorkerPool
 from repro.sim.reference import shannon_limit_ebn0_db, uncoded_bpsk_ber
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.sim.sharding import consume_shard, iter_shard_sizes
@@ -33,7 +37,6 @@ __all__ = [
     "MonteCarloSimulator",
     "SimulationConfig",
     "BatchResult",
-    "ParallelMonteCarloEngine",
     "SharedWorkerPool",
     "PoolEntry",
     "iter_shard_sizes",

@@ -1,15 +1,17 @@
-"""Declarative experiment campaigns over one shared worker pool.
+"""Declarative experiment campaigns over one shared executor.
 
-This package turns the parallel Monte-Carlo engine from a per-sweep tool
-into a multi-experiment scheduler:
+This package turns the sharded Monte-Carlo loop of :mod:`repro.sim.parallel`
+from a per-sweep tool into a multi-experiment scheduler:
 
 * :mod:`repro.sim.campaign.spec` — :class:`CampaignSpec` and friends: a
   JSON-round-trippable description of a grid of (code, decoder, channel,
   config) experiments swept over Eb/N0, every axis resolved through the
   pluggable component registry (:mod:`repro.registry`);
 * :mod:`repro.sim.campaign.scheduler` — :class:`CampaignScheduler`: flattens
-  every experiment into one deterministic stream of point jobs dispatched
-  over a single :class:`~repro.sim.parallel.SharedWorkerPool`;
+  every experiment into one deterministic stream of point jobs, run
+  serially or over a single transport (a
+  :class:`~repro.sim.parallel.SharedWorkerPool` or the fabric's
+  :class:`~repro.fabric.pool.FabricPool`);
 * :mod:`repro.sim.campaign.store` — :class:`ResultStore`: a campaign
   directory with a manifest plus one incrementally-persisted
   :class:`~repro.sim.results.SimulationCurve` JSON per experiment, so a

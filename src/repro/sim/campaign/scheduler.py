@@ -1,21 +1,32 @@
-"""Campaign scheduling: one shard stream, one shared worker pool.
+"""Campaign scheduling: one shard stream, one serial path, one transport path.
 
 The scheduler flattens every (experiment, Eb/N0) combination of a
 :class:`~repro.sim.campaign.spec.CampaignSpec` into a deterministic list of
-:class:`PointJob`\\ s and drives them through a *single*
-:class:`~repro.sim.parallel.SharedWorkerPool` — experiments do not pay a
-pool each, and early-stopping points of one configuration release workers to
-the others.  Jobs are interleaved round-robin across experiments so every
-curve grows from its most informative (lowest-index) points first.
+:class:`PointJob`\\ s and runs them one of two ways:
+
+* ``workers=0`` — serially in-process, each point through
+  :meth:`~repro.sim.montecarlo.MonteCarloSimulator.run_point`, the
+  reference every parallel executor is checked against;
+* otherwise through the one dispatch-and-fold loop of
+  :mod:`repro.sim.parallel`, over a transport: a single
+  :class:`~repro.sim.parallel.SharedWorkerPool` for ``workers=N``, or the
+  broker-leased :class:`~repro.fabric.pool.FabricPool` for ``fabric=``.
+  Experiments share the transport, and early-stopping points of one
+  configuration release workers to the others.  Jobs are interleaved
+  round-robin across experiments so every curve grows from its most
+  informative (lowest-index) points first.
+
+Both paths build the same :class:`~repro.sim.parallel.PoolEntry` per
+experiment and report shards to the same telemetry observer.
 
 Seeds are a pure function of the spec: experiment ``i`` owns child ``i`` of
 ``SeedSequence(spec.seed)`` and point ``j`` of that experiment owns child
 ``j`` of the experiment's sequence.  Combined with the per-point shard
 determinism of :mod:`repro.sim.parallel`, a campaign therefore produces
-bit-identical counts for any worker count — and a *resumed* campaign (jobs
-already in the :class:`~repro.sim.campaign.store.ResultStore` are skipped,
-but every seed is re-derived from scratch) completes to exactly the counts
-of an uninterrupted run.
+bit-identical counts for any executor and worker count — and a *resumed*
+campaign (jobs already in the :class:`~repro.sim.campaign.store.ResultStore`
+are skipped, but every seed is re-derived from scratch) completes to
+exactly the counts of an uninterrupted run.
 
 This determinism is what makes the paper's measured figures reproducible
 artifacts rather than one-off runs: the Figure 4 waterfalls and Section 5
@@ -36,8 +47,14 @@ from repro.obs.probe import StageAccumulator
 from repro.obs.telemetry import Telemetry
 from repro.sim.campaign.spec import CampaignSpec, config_to_dict
 from repro.sim.campaign.store import ResultStore
-from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
-from repro.sim.parallel import PointState, PoolEntry, SharedWorkerPool
+from repro.sim.montecarlo import BatchResult, MonteCarloSimulator, SimulationConfig
+from repro.sim.parallel import (
+    PointState,
+    PoolEntry,
+    ShardInfo,
+    ShardTransport,
+    SharedWorkerPool,
+)
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.utils.rng import as_seed_sequence
 
@@ -59,7 +76,7 @@ class PointJob:
 
 
 class CampaignScheduler:
-    """Run a campaign's point jobs through one shared worker pool.
+    """Run a campaign's point jobs serially or over one shared transport.
 
     Parameters
     ----------
@@ -69,9 +86,9 @@ class CampaignScheduler:
         Result store; every completed point is persisted immediately and
         already-persisted points are skipped.
     workers:
-        ``None``/``0`` runs serially in-process (bit-identical to any pooled
-        run); a positive count dispatches over a
-        :class:`~repro.sim.parallel.SharedWorkerPool` of that size.
+        ``None``/``0`` runs serially in-process (the reference every
+        transport reproduces bit for bit); a positive count dispatches over
+        a :class:`~repro.sim.parallel.SharedWorkerPool` of that size.
     mp_context:
         Optional ``multiprocessing`` context or start-method name.
     telemetry:
@@ -87,12 +104,12 @@ class CampaignScheduler:
         A :class:`~repro.fabric.FabricConfig` routes the shard stream
         through the campaign fabric (work-lease broker + embedded and/or
         external workers) instead of a process pool; ``None`` — the default
-        — keeps the classic pooled/serial paths.  ``workers`` is ignored
-        under the fabric; ``fabric.local_workers`` sizes the embedded
-        fleet and ``fabric.broker_dir`` lets ``repro fabric worker``
-        processes join.  Determinism is unchanged: the fabric folds the
-        same shard schedule in the same order, so stored curves are
-        byte-identical to any pooled or serial run.
+        — keeps the pooled/serial paths.  ``workers`` is ignored under the
+        fabric; ``fabric.local_workers`` sizes the embedded fleet and
+        ``fabric.broker_dir`` lets ``repro fabric worker`` processes join.
+        Determinism is unchanged: the same loop folds the same shard
+        schedule in the same order, so stored curves are byte-identical to
+        any pooled or serial run.
     """
 
     def __init__(
@@ -116,7 +133,9 @@ class CampaignScheduler:
             )
         self.telemetry = telemetry
         self._points_recorded = 0
-        self._resolved_configs: dict[str, SimulationConfig] = {}
+        # Worker identities seen by the shard observer during one dispatch.
+        self._worker_names: dict[Any, int] = {}
+        self._workers_seen: set[int] = set()
 
     # ------------------------------------------------------------------ #
     def plan(self) -> list[PointJob]:
@@ -184,7 +203,7 @@ class CampaignScheduler:
             campaign=self.spec.name,
             total_points=len(plan),
             pending_points=len(jobs),
-            workers=int(self.workers or 0),
+            workers=self._executor_workers(),
         )
         self._points_recorded = 0
         self.store.telemetry = telemetry
@@ -207,244 +226,230 @@ class CampaignScheduler:
         return self.store.curves()
 
     # ------------------------------------------------------------------ #
-    def _dispatch(
-        self,
-        jobs: list[PointJob],
-        progress: Callable[[str, SimulationPoint], None] | None,
-    ) -> None:
-        """Route pending jobs to the fabric, the pool or the serial path."""
+    def _executor_workers(self) -> int:
+        """Worker count of the executor :meth:`run` dispatches to (0: serial)."""
         if self.fabric is not None:
-            self._run_fabric(jobs, progress)
-        elif self.workers:
-            self._run_pooled(jobs, progress)
-        else:
-            self._run_serial(jobs, progress)
+            from repro.fabric.pool import EXTERNAL_WORKERS
 
-    def _built_codes(self, labels: set[str]) -> dict[str, Any]:
-        """Build each distinct code once; map experiment label -> code."""
-        by_spec: dict[Any, Any] = {}
-        codes: dict[str, Any] = {}
+            return self.fabric.local_workers or EXTERNAL_WORKERS
+        return int(self.workers or 0)
+
+    def _entries(self, labels: set[str]) -> dict[str, PoolEntry]:
+        """One :class:`PoolEntry` per experiment in ``labels``.
+
+        Each distinct code is built once; entries are ``profiled`` exactly
+        when telemetry is on, whichever executor serves them.
+        """
+        codes: dict[Any, Any] = {}
+        entries: dict[str, PoolEntry] = {}
         for experiment in self.spec.experiments:
             if experiment.label not in labels:
                 continue
-            if experiment.code not in by_spec:
-                by_spec[experiment.code] = experiment.code.build()
-            codes[experiment.label] = by_spec[experiment.code]
-        return codes
-
-    def _resolved_config(self, label: str) -> SimulationConfig:
-        config = self._resolved_configs.get(label)
-        if config is None:
-            for experiment in self.spec.experiments:
-                if experiment.label == label:
-                    config = experiment.resolve_config(self.spec.config)
-                    break
-            else:  # pragma: no cover - labels come from the spec
-                raise KeyError(f"no experiment {label!r}")
-            self._resolved_configs[label] = config
-        return config
+            if experiment.code not in codes:
+                codes[experiment.code] = experiment.code.build()
+            code = codes[experiment.code]
+            entries[experiment.label] = PoolEntry(
+                code,
+                experiment.decoder.factory(code),
+                experiment.resolve_config(self.spec.config),
+                experiment.channel.build(),
+                profiled=self.telemetry is not None,
+            )
+        return entries
 
     def _record(
         self,
         label: str,
         point: SimulationPoint,
+        config: SimulationConfig,
         progress: Callable[[str, SimulationPoint], None] | None,
     ) -> None:
         recorded = self.store.record_point(label, point)
         telemetry = self.telemetry
         if telemetry is not None and recorded:
             self._points_recorded += 1
-            max_frames = self._resolved_config(label).max_frames
-            if point.frames < max_frames:
+            if point.frames < config.max_frames:
                 telemetry.record_early_stop(
                     experiment=label,
                     ebn0_db=point.ebn0_db,
                     frames=point.frames,
-                    max_frames=max_frames,
+                    max_frames=config.max_frames,
                 )
         if progress is not None:
             progress(label, point)
 
-    def _serial_shard_observer(
-        self, simulator: MonteCarloSimulator, label: str, ebn0_db: float
-    ) -> Callable[[int, Any, float], None]:
-        """Per-job ``on_shard`` closure for the serial path (worker id 0)."""
-        if self.telemetry is None:  # pragma: no cover - telemetry path only
-            raise RuntimeError("shard observer requires telemetry")
-        recorder: Telemetry = self.telemetry
-        probe = simulator.probe
-        accumulator = probe if isinstance(probe, StageAccumulator) else None
-        mark = [accumulator.checkpoint()] if accumulator is not None else None
+    def _observe_shard(
+        self,
+        label: str,
+        ebn0_db: float,
+        shard_index: int,
+        result: BatchResult,
+        info: ShardInfo,
+        dispatched_at: float | None = None,
+    ) -> None:
+        """The shard observer of every executor (telemetry runs only).
 
-        def on_shard(index: int, shard: Any, seconds: float) -> None:
-            stage_seconds = None
-            if accumulator is not None and mark is not None:
-                _, _, stage_seconds = accumulator.since(mark[0])
-                mark[0] = accumulator.checkpoint()
-            recorder.record_shard(
-                experiment=label,
-                ebn0_db=ebn0_db,
-                shard_index=index,
-                frames=shard.frames,
-                frame_errors=shard.frame_errors,
-                seconds=seconds,
-                queue_seconds=0.0,
-                worker=0,
-                stage_seconds=stage_seconds,
+        Pool workers are named by pid, fabric workers by name (mapped to
+        indices by first appearance), the serial path is worker ``0``.
+        Queue wait is the in-flight time minus worker compute time — both
+        ends are parent-side reads of the same monotonic clock — and only
+        exists for timed shards of a transport.
+        """
+        recorder = self.telemetry
+        if recorder is None:  # pragma: no cover - observer is telemetry-only
+            return
+        worker = info.worker
+        if not isinstance(worker, int):
+            worker = self._worker_names.setdefault(worker, len(self._worker_names))
+        if worker not in self._workers_seen:
+            self._workers_seen.add(worker)
+            recorder.emit("worker_up", worker=worker)
+        queue_seconds = 0.0
+        if dispatched_at is not None and info.stage_seconds is not None:
+            queue_seconds = max(clock.monotonic() - dispatched_at - info.seconds, 0.0)
+        recorder.record_shard(
+            experiment=label,
+            ebn0_db=ebn0_db,
+            shard_index=shard_index,
+            frames=result.frames,
+            frame_errors=result.frame_errors,
+            seconds=info.seconds,
+            queue_seconds=queue_seconds,
+            worker=worker,
+            stage_seconds=info.stage_seconds,
+        )
+
+    def _emit_dispatched(self, job: PointJob) -> None:
+        if self.telemetry is not None:
+            self.telemetry.emit(
+                "job_dispatched",
+                experiment=job.label,
+                point_index=job.point_index,
+                ebn0_db=job.ebn0_db,
             )
 
-        return on_shard
+    # ------------------------------------------------------------------ #
+    def _dispatch(
+        self,
+        jobs: list[PointJob],
+        progress: Callable[[str, SimulationPoint], None] | None,
+    ) -> None:
+        """Run the pending jobs on the serial reference or over a transport."""
+        self._worker_names = {}
+        self._workers_seen = set()
+        try:
+            if self.fabric is None and not self.workers:
+                self._run_serial(jobs, progress)
+            else:
+                self._run_transport(jobs, progress)
+        finally:
+            if self.telemetry is not None:
+                for worker in sorted(self._workers_seen):
+                    self.telemetry.emit("worker_down", worker=worker)
 
     def _run_serial(
         self,
         jobs: list[PointJob],
         progress: Callable[[str, SimulationPoint], None] | None,
     ) -> None:
-        telemetry = self.telemetry
-        codes = self._built_codes({job.label for job in jobs})
-        experiments = {e.label: e for e in self.spec.experiments}
+        """``workers=0``: each point through ``MonteCarloSimulator.run_point``,
+        the reference every transport is checked against."""
+        entries = self._entries({job.label for job in jobs})
         simulators: dict[str, MonteCarloSimulator] = {}
-        if telemetry is not None:
-            telemetry.emit("worker_up", worker=0)
-        try:
-            for job in jobs:
-                simulator = simulators.get(job.label)
-                if simulator is None:
-                    experiment = experiments[job.label]
-                    code = codes[job.label]
-                    simulator = MonteCarloSimulator(
-                        code,
-                        experiment.decoder.build(code),
-                        config=experiment.resolve_config(self.spec.config),
-                        rng=0,
-                        pipeline=experiment.channel.build(),
-                        probe=StageAccumulator() if telemetry is not None else None,
-                    )
-                    simulators[job.label] = simulator
-                on_shard: Callable[[int, Any, float], None] | None = None
-                if telemetry is not None:
-                    telemetry.emit(
-                        "job_dispatched",
-                        experiment=job.label,
-                        point_index=job.point_index,
-                        ebn0_db=job.ebn0_db,
-                    )
-                    on_shard = self._serial_shard_observer(
-                        simulator, job.label, job.ebn0_db
-                    )
-                point = simulator.run_point(
-                    job.ebn0_db, rng=job.seed, on_shard=on_shard
-                )
-                self._record(job.label, point, progress)
-        finally:
-            if telemetry is not None:
-                telemetry.emit("worker_down", worker=0)
+        for job in jobs:
+            simulator = simulators.get(job.label)
+            if simulator is None:
+                simulator = simulators[job.label] = entries[job.label].simulator()
+            on_shard: Callable[[int, Any, float], None] | None = None
+            if self.telemetry is not None:
+                self._emit_dispatched(job)
+                on_shard = self._serial_shard_observer(simulator, job)
+            point = simulator.run_point(job.ebn0_db, rng=job.seed, on_shard=on_shard)
+            self._record(job.label, point, simulator.config, progress)
 
-    def _run_pooled(
+    def _serial_shard_observer(
+        self, simulator: MonteCarloSimulator, job: PointJob
+    ) -> Callable[[int, Any, float], None]:
+        """Adapt ``run_point``'s ``on_shard`` to :meth:`_observe_shard`."""
+        probe = simulator.probe
+        if not isinstance(probe, StageAccumulator):  # pragma: no cover
+            raise RuntimeError("telemetry runs build profiled simulators")
+        accumulator: StageAccumulator = probe
+        mark = [accumulator.checkpoint()]
+
+        def on_shard(index: int, result: Any, seconds: float) -> None:
+            _, _, stage_seconds = accumulator.since(mark[0])
+            mark[0] = accumulator.checkpoint()
+            info = ShardInfo(0, seconds, stage_seconds)
+            self._observe_shard(job.label, job.ebn0_db, index, result, info)
+
+        return on_shard
+
+    def _run_transport(
         self,
         jobs: list[PointJob],
         progress: Callable[[str, SimulationPoint], None] | None,
     ) -> None:
-        telemetry = self.telemetry
-        labels = {job.label for job in jobs}
-        codes = self._built_codes(labels)
-        entries: dict[str, PoolEntry] = {}
-        for experiment in self.spec.experiments:
-            if experiment.label not in labels:
-                continue
-            code = codes[experiment.label]
-            entries[experiment.label] = PoolEntry(
-                code,
-                experiment.decoder.factory(code),
-                experiment.resolve_config(self.spec.config),
-                experiment.channel.build(),
-                profiled=telemetry is not None,
-            )
+        """Drive the pending jobs through the pool or the fabric.
+
+        Either way the shared loop folds the same shard schedule in the
+        same order, so stored curves are byte-identical to the serial path
+        (the chaos battery's core assertion for the fabric).
+        """
+        entries = self._entries({job.label for job in jobs})
         states = [
-            PointState(
-                job.label,
-                job.ebn0_db,
-                job.seed,
-                entries[job.label].config,
-                tag=job,
-            )
+            PointState(job.label, job.ebn0_db, job.seed, entries[job.label].config)
             for job in jobs
         ]
-        on_shard: Callable[[Any, int, Any, Any, float], None] | None = None
-        seen_workers: set[int] = set()
-        if telemetry is not None:
-            recorder: Telemetry = telemetry
-            for job in jobs:
-                recorder.emit(
-                    "job_dispatched",
-                    experiment=job.label,
-                    point_index=job.point_index,
-                    ebn0_db=job.ebn0_db,
-                )
+        for job in jobs:
+            self._emit_dispatched(job)
 
-            def _pool_shard_observer(
-                state: Any,
-                shard_index: int,
-                result: Any,
-                shard: Any,
-                dispatched_at: float,
-            ) -> None:
-                worker = shard.worker if shard is not None else 0
-                if worker not in seen_workers:
-                    seen_workers.add(worker)
-                    recorder.emit("worker_up", worker=worker)
-                seconds = shard.seconds if shard is not None else 0.0
-                queue_seconds = 0.0
-                if shard is not None:
-                    # Queue wait = in-pool time minus worker compute time:
-                    # both ends of the interval are parent-side reads of the
-                    # same monotonic clock.
-                    queue_seconds = max(
-                        clock.monotonic() - dispatched_at - seconds, 0.0
-                    )
-                recorder.record_shard(
-                    experiment=state.key,
-                    ebn0_db=state.ebn0_db,
-                    shard_index=shard_index,
-                    frames=result.frames,
-                    frame_errors=result.frame_errors,
-                    seconds=seconds,
-                    queue_seconds=queue_seconds,
-                    worker=worker,
-                    stage_seconds=shard.stage_seconds if shard is not None else None,
-                )
+        def on_point(state: PointState, point: SimulationPoint) -> None:
+            self._record(str(state.key), point, state.config, progress)
 
-            on_shard = _pool_shard_observer
-
-        try:
-            with SharedWorkerPool(
-                entries, workers=self.workers, mp_context=self._mp_context
-            ) as pool:
-                pool.run_states(
-                    states,
-                    on_point=lambda state, point: self._record(
-                        state.key, point, progress
-                    ),
-                    on_shard=on_shard,
-                )
-        finally:
-            if telemetry is not None:
-                for worker in sorted(seen_workers):
-                    telemetry.emit("worker_down", worker=worker)
-
-    def _fabric_entries(self, labels: set[str]) -> dict[str, PoolEntry]:
-        codes = self._built_codes(labels)
-        entries: dict[str, PoolEntry] = {}
-        for experiment in self.spec.experiments:
-            if experiment.label not in labels:
-                continue
-            entries[experiment.label] = PoolEntry(
-                codes[experiment.label],
-                experiment.decoder.factory(codes[experiment.label]),
-                experiment.resolve_config(self.spec.config),
-                experiment.channel.build(),
+        def on_shard(
+            state: PointState,
+            index: int,
+            result: BatchResult,
+            info: ShardInfo,
+            dispatched_at: float,
+        ) -> None:
+            self._observe_shard(
+                str(state.key), state.ebn0_db, index, result, info, dispatched_at
             )
-        return entries
+
+        with self._transport(entries) as transport:
+            transport.run_states(
+                states,
+                on_point=on_point,
+                on_shard=on_shard if self.telemetry is not None else None,
+            )
+
+    def _transport(self, entries: dict[str, PoolEntry]) -> ShardTransport:
+        fabric = self.fabric
+        if fabric is None:
+            return SharedWorkerPool(
+                entries, workers=self.workers, mp_context=self._mp_context
+            )
+        from repro.fabric import FabricPool, FilesystemBroker, InProcessBroker
+
+        if fabric.broker_dir:
+            broker: Any = FilesystemBroker.create(
+                fabric.broker_dir,
+                self._fabric_manifest(),
+                policy=fabric.policy,
+                fresh=fabric.fresh,
+            )
+        else:
+            broker = InProcessBroker(fabric.policy)
+        return FabricPool(
+            entries,
+            broker=broker,
+            workers=fabric.local_workers,
+            fault_plan=fabric.fault_plan,
+            wall_clock=fabric.resolved_wall_clock(),
+            on_event=self.telemetry.emit if self.telemetry is not None else None,
+        )
 
     def _fabric_manifest(self) -> dict[str, Any]:
         """Self-contained entry specs external workers rebuild from.
@@ -465,102 +470,3 @@ class CampaignScheduler:
                 ),
             }
         return {"campaign": self.spec.name, "entries": entries}
-
-    def _run_fabric(
-        self,
-        jobs: list[PointJob],
-        progress: Callable[[str, SimulationPoint], None] | None,
-    ) -> None:
-        """Drive the pending jobs through the campaign fabric.
-
-        Same shard schedule, same fold order, same stopping rule as the
-        pooled path — only the executor changes, so stored curves stay
-        byte-identical (the chaos battery's core assertion).  With a
-        ``broker_dir`` the run is joinable by ``repro fabric worker``
-        processes; a clean finish writes the broker's ``done`` marker so
-        they exit.
-        """
-        from repro.fabric import FabricPool, FilesystemBroker, InProcessBroker
-
-        fabric = self.fabric
-        assert fabric is not None  # _dispatch routed us here
-        telemetry = self.telemetry
-        labels = {job.label for job in jobs}
-        entries = self._fabric_entries(labels)
-        if fabric.broker_dir:
-            broker: Any = FilesystemBroker.create(
-                fabric.broker_dir,
-                self._fabric_manifest(),
-                policy=fabric.policy,
-                fresh=fabric.fresh,
-            )
-        else:
-            broker = InProcessBroker(fabric.policy)
-        states = [
-            PointState(
-                job.label,
-                job.ebn0_db,
-                job.seed,
-                entries[job.label].config,
-                tag=job,
-            )
-            for job in jobs
-        ]
-        on_event: Callable[..., None] | None = None
-        on_shard: Callable[[Any, int, Any, Any, float], None] | None = None
-        if telemetry is not None:
-            recorder: Telemetry = telemetry
-            for job in jobs:
-                recorder.emit(
-                    "job_dispatched",
-                    experiment=job.label,
-                    point_index=job.point_index,
-                    ebn0_db=job.ebn0_db,
-                )
-            on_event = recorder.emit
-            # Fabric workers are named; shard_completed's worker field is an
-            # int, so names map to indices by first appearance (stable for a
-            # deterministic schedule).
-            worker_indices: dict[str, int] = {}
-
-            def _fabric_shard_observer(
-                state: Any,
-                shard_index: int,
-                result: Any,
-                shard: Any,
-                dispatched_at: float,
-            ) -> None:
-                name = shard.worker if shard is not None else "?"
-                index = worker_indices.setdefault(name, len(worker_indices))
-                recorder.record_shard(
-                    experiment=state.key,
-                    ebn0_db=state.ebn0_db,
-                    shard_index=shard_index,
-                    frames=result.frames,
-                    frame_errors=result.frame_errors,
-                    seconds=0.0,
-                    queue_seconds=0.0,
-                    worker=index,
-                    stage_seconds=None,
-                )
-
-            on_shard = _fabric_shard_observer
-
-        with FabricPool(
-            entries,
-            broker=broker,
-            workers=fabric.local_workers,
-            fault_plan=fabric.fault_plan,
-            wall_clock=fabric.resolved_wall_clock(),
-            poll_seconds=fabric.poll_seconds,
-            on_event=on_event,
-        ) as pool:
-            pool.run_states(
-                states,
-                on_point=lambda state, point: self._record(
-                    state.key, point, progress
-                ),
-                on_shard=on_shard,
-            )
-        if hasattr(broker, "mark_done"):
-            broker.mark_done()

@@ -1,49 +1,54 @@
-"""Sharded parallel Monte-Carlo engines built on one shared worker pool.
+"""Sharded Monte-Carlo execution: one dispatch-and-fold loop, two transports.
 
-Two layers live here:
+Every parallel run in the repository — an :class:`~repro.sim.sweep.EbN0Sweep`
+with ``workers=N``, a pooled campaign, a fabric campaign — goes through the
+same loop, :meth:`ShardTransport.run_states`.  It drives a list of
+:class:`PointState`\\ s (one per Eb/N0 point) to completion:
 
-* :class:`SharedWorkerPool` — a ``multiprocessing`` pool whose workers hold a
-  *registry* of simulators, one per :class:`PoolEntry` (code + decoder
-  factory + config), built lazily on first use.  Any mix of experiments can
-  therefore be dispatched through a single pool: the campaign scheduler in
-  :mod:`repro.sim.campaign` flattens every configuration of a campaign into
-  one stream of shard tasks instead of paying a pool per sweep.
-* :class:`ParallelMonteCarloEngine` — the single-experiment engine from PR 1,
-  now a thin wrapper around a one-entry :class:`SharedWorkerPool`.  Its API
-  and determinism contract are unchanged.
+* shards are submitted round-robin across the active points, at most
+  ``2 x transport.workers`` ahead of aggregation;
+* completed shards are folded into each point's
+  :class:`~repro.sim.statistics.ErrorCounter` strictly in shard order
+  (:func:`~repro.sim.sharding.consume_shard`), and once the stopping rule
+  triggers every speculative shard of that point is cancelled, never
+  counted;
+* ``on_shard`` observes each folded shard and ``on_point`` each finished
+  point; both are write-only.
 
-The determinism contract is per Eb/N0 point and holds for both layers:
+A transport only moves shards: :meth:`~ShardTransport.submit`,
+:meth:`~ShardTransport.poll`, :meth:`~ShardTransport.cancel` and a
+per-iteration :meth:`~ShardTransport.step`.  Two exist:
 
-* the shard sizes come from the deterministic schedule
-  (:func:`repro.sim.sharding.iter_shard_sizes`) of the point's *own* config,
-  so they do not depend on the worker count or on what else shares the pool;
-* shard ``i`` of a point always draws from child ``i`` of the point's
-  :class:`numpy.random.SeedSequence` (spawned in shard order);
-* shard results are folded into the point's
-  :class:`~repro.sim.statistics.ErrorCounter` in shard order, and the
-  stopping rule is applied to that ordered prefix — speculative shards that
-  were dispatched beyond the stopping point are discarded, never counted.
+* :class:`SharedWorkerPool` — a ``multiprocessing`` pool whose workers hold
+  a registry of simulators, one per :class:`PoolEntry` (code + decoder
+  factory + config), built lazily on first use, so any mix of experiments
+  shares one pool;
+* :class:`~repro.fabric.pool.FabricPool` — shards leased through a work
+  broker to embedded or external workers.
 
-For a fixed seed a point therefore yields bit-identical counts for any
-number of workers (including the serial engine) and for any co-scheduled
-workload.
+:meth:`MonteCarloSimulator.run_point
+<repro.sim.montecarlo.MonteCarloSimulator.run_point>` stays the serial
+reference the loop is checked against.  The determinism contract is per
+point: the shard sizes come from the point's own config
+(:func:`repro.sim.sharding.iter_shard_sizes`), shard ``i`` draws from child
+``i`` of the point's :class:`numpy.random.SeedSequence`, and the stopping
+rule sees the ordered prefix.  For a fixed seed a point therefore yields
+bit-identical counts for any transport, any worker count and any
+co-scheduled workload.
 
-Workers are long-lived: each pool process builds one simulator per entry in
-its initializer registry the first time a shard for that entry arrives, so
-expensive construction (systematic encoder, edge structure) is paid once per
-worker per experiment.  On platforms whose default start method is ``fork``
-(Linux) codes and decoder factories are inherited without pickling, so
-lambdas work; with ``spawn`` start methods they must be picklable.
+Pool workers are long-lived and build each simulator once.  On platforms
+whose default start method is ``fork`` (Linux) codes and decoder factories
+are inherited without pickling, so lambdas work; with ``spawn`` start
+methods they must be picklable.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,127 +63,115 @@ from repro.sim.montecarlo import (
 from repro.sim.results import SimulationPoint
 from repro.sim.sharding import consume_shard, iter_shard_sizes
 from repro.sim.statistics import ErrorCounter
-from repro.utils.rng import as_seed_sequence, spawn_seed_sequences
 
-__all__ = ["PoolEntry", "PointState", "SharedWorkerPool", "ParallelMonteCarloEngine"]
+__all__ = [
+    "PoolEntry",
+    "PointState",
+    "ShardInfo",
+    "ShardTransport",
+    "SharedWorkerPool",
+    "run_shard",
+]
 
-# Worker-process state: the entry registry shipped by the initializer and the
-# simulators built (lazily, per entry key) from it.
-_WORKER_ENTRIES: dict = {}
-_WORKER_SIMULATORS: dict = {}
+#: Dispatch at most this many shards per transport worker ahead of folding.
+_INFLIGHT_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
 class PoolEntry:
-    """One simulatable configuration a :class:`SharedWorkerPool` can serve.
+    """One simulatable configuration a transport can serve.
 
     ``decoder_factory`` is a zero-argument callable returning a fresh
-    decoder; it runs once per worker process (per entry).  ``pipeline`` is
-    the modulator + channel pair
+    decoder; it runs once per simulator built.  ``pipeline`` is the
+    modulator + channel pair
     (:class:`~repro.channel.pipeline.ChannelPipeline`) this entry simulates
     over; ``None`` means the default BPSK/AWGN pipeline.
 
-    ``profiled`` switches worker-side telemetry on for this entry: shard
-    tasks time themselves and attach a per-stage breakdown (from a
+    ``profiled`` switches worker-side telemetry on for this entry: shards
+    time themselves and attach a per-stage breakdown (from a
     :class:`~repro.obs.probe.StageAccumulator` probe).  The flag travels
-    inside the entry registry, so forked and spawned workers agree with the
-    parent without consulting environment variables.  Profiling never
-    changes counts — the byte-identity telemetry test pins that.
+    inside the entry, so forked and spawned workers agree with the parent
+    without consulting environment variables.  Profiling never changes
+    counts — the byte-identity telemetry test pins that.
     """
 
-    code: object
-    decoder_factory: Callable[[], object]
+    code: Any
+    decoder_factory: Callable[[], Any]
     config: SimulationConfig = field(default_factory=SimulationConfig)
-    pipeline: object | None = None
+    pipeline: Any = None
     profiled: bool = False
 
-
-def _init_worker(entries: dict, eager: bool) -> None:
-    """Pool initializer: receive the entry registry.
-
-    With ``eager`` every simulator is built here, inside the initializer —
-    the single-experiment engine uses this so :meth:`SharedWorkerPool.warmup`
-    keeps construction cost out of timed runs; campaigns build lazily so a
-    worker only pays for the experiments it actually serves.
-    """
-    global _WORKER_ENTRIES, _WORKER_SIMULATORS
-    _WORKER_ENTRIES = dict(entries)
-    _WORKER_SIMULATORS = {}
-    if eager:
-        for key in _WORKER_ENTRIES:
-            _simulator_for(key)
-
-
-def _simulator_for(key) -> MonteCarloSimulator:
-    simulator = _WORKER_SIMULATORS.get(key)
-    if simulator is None:
-        entry = _WORKER_ENTRIES.get(key)
-        if entry is None:  # pragma: no cover - defensive; keys come from entries
-            raise RuntimeError(f"worker pool has no entry {key!r}")
-        simulator = MonteCarloSimulator(
-            entry.code,
-            entry.decoder_factory(),
-            config=entry.config,
+    def simulator(self) -> MonteCarloSimulator:
+        """Build this entry's simulator (every executor builds it here)."""
+        return MonteCarloSimulator(
+            self.code,
+            self.decoder_factory(),
+            config=self.config,
             rng=0,
-            pipeline=entry.pipeline,
-            probe=StageAccumulator() if entry.profiled else None,
+            pipeline=self.pipeline,
+            probe=StageAccumulator() if self.profiled else None,
         )
-        _WORKER_SIMULATORS[key] = simulator
-    return simulator
-
-
-def _worker_probe() -> int:
-    """Trivial task used by :meth:`SharedWorkerPool.warmup`."""
-    if not _WORKER_ENTRIES:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool was not initialized")
-    return len(_WORKER_ENTRIES)
 
 
 @dataclass(frozen=True)
-class _ShardTelemetry:
-    """Worker-side measurements of one shard (picklable, observation-only)."""
+class ShardInfo:
+    """Who computed one shard and, for profiled entries, how long it took.
 
-    worker: int
-    seconds: float
-    stage_seconds: dict | None
-
-
-def _run_shard(key, ebn0_db: float, size: int, seed_seq):
-    """Task body: simulate one shard on this worker's simulator for ``key``.
-
-    Returns ``(BatchResult, _ShardTelemetry | None)`` — telemetry only when
-    the entry is ``profiled``, so unprofiled runs pay no timing at all.
+    ``worker`` is a pid (pool), a worker name (fabric) or ``0`` (serial).
+    ``stage_seconds`` is ``None`` when the shard was not timed — an
+    unprofiled entry, or a completion record from an external fabric worker
+    — and ``seconds`` is then ``0.0``.
     """
-    simulator = _simulator_for(key)
+
+    worker: int | str
+    seconds: float = 0.0
+    stage_seconds: dict[str, float] | None = None
+
+
+def run_shard(
+    simulator: MonteCarloSimulator,
+    ebn0_db: float,
+    size: int,
+    seed: np.random.SeedSequence,
+    worker: int | str,
+) -> tuple[BatchResult, ShardInfo]:
+    """Simulate one shard; time it when the simulator carries a stage probe."""
     sigma = simulator.sigma_for(ebn0_db)
+    rng = np.random.default_rng(seed)
     probe = simulator.probe
-    if probe is None:
-        result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed_seq))
-        return result, None
+    if not isinstance(probe, StageAccumulator):
+        return simulator.run_batch(size, sigma, rng=rng), ShardInfo(worker)
     mark = probe.checkpoint()
     started = clock.monotonic()
-    result = simulator.run_batch(size, sigma, rng=np.random.default_rng(seed_seq))
+    result = simulator.run_batch(size, sigma, rng=rng)
     seconds = clock.monotonic() - started
     _, _, stage_seconds = probe.since(mark)
-    return result, _ShardTelemetry(os.getpid(), seconds, stage_seconds)
+    return result, ShardInfo(worker, seconds, stage_seconds)
 
 
 class PointState:
     """Book-keeping of one in-flight Eb/N0 point.
 
-    ``key`` selects the worker-side simulator (the :class:`PoolEntry`),
+    ``key`` selects the transport-side simulator (the :class:`PoolEntry`),
     ``tag`` is opaque caller metadata handed back with the completed point.
     """
 
-    def __init__(self, key, ebn0_db: float, seed_seq, config: SimulationConfig, tag=None):
+    def __init__(
+        self,
+        key: Hashable,
+        ebn0_db: float,
+        seed_seq: np.random.SeedSequence,
+        config: SimulationConfig,
+        tag: Any = None,
+    ) -> None:
         self.key = key
         self.ebn0_db = float(ebn0_db)
         self.seed_seq = seed_seq
         self.config = config
         self.tag = tag
         self.sizes = iter_shard_sizes(config)
-        # (AsyncResult, shard_index, dispatched_at) tuples, in shard order.
-        self.pending: deque = deque()
+        # (transport handle, shard_index, dispatched_at) tuples, in shard order.
+        self.pending: deque[tuple[Any, int, float]] = deque()
         self.shards_dispatched = 0
         self.counter = ErrorCounter()
         self.stopped = False  # stopping rule triggered; discard further shards
@@ -188,7 +181,7 @@ class PointState:
     def done(self) -> bool:
         return self.stopped or (self.exhausted and not self.pending)
 
-    def next_shard(self):
+    def next_shard(self) -> tuple[int, np.random.SeedSequence] | None:
         """Next ``(size, child_seed)`` to dispatch, or ``None``."""
         if self.stopped or self.exhausted:
             return None
@@ -200,35 +193,165 @@ class PointState:
         (child,) = self.seed_seq.spawn(1)
         return size, child
 
-    def consume_ready(self, observer=None) -> bool:
-        """Fold completed shards (in shard order) into the counter.
-
-        Returns ``True`` when at least one shard was consumed.  ``observer``
-        is the telemetry hook, called per consumed shard as
-        ``observer(state, shard_index, result, shard_telemetry,
-        dispatched_at)`` — strictly after the result exists and before the
-        stopping rule, so it can never influence either.
-        """
-        progressed = False
-        while self.pending and self.pending[0][0].ready():
-            async_result, shard_index, dispatched_at = self.pending.popleft()
-            result, shard_telemetry = async_result.get()
-            progressed = True
-            if observer is not None:
-                observer(self, shard_index, result, shard_telemetry, dispatched_at)
-            if not self.stopped and not consume_shard(self.counter, result, self.config):
-                # Stopping rule hit: everything already dispatched beyond
-                # this shard is speculative and must not be counted.
-                self.stopped = True
-                self.pending.clear()
-        return progressed
-
     def to_point(self) -> SimulationPoint:
         return point_from_counter(self.ebn0_db, self.counter)
 
 
-class SharedWorkerPool:
-    """One worker pool serving shard tasks for any number of experiments.
+#: ``on_point(state, point)`` — a point finished (completion order).
+PointObserver = Callable[[PointState, SimulationPoint], None]
+#: ``on_shard(state, shard_index, result, info, dispatched_at)`` — a shard
+#: was folded; ``dispatched_at`` is the :func:`repro.obs.clock.monotonic`
+#: reading taken when it was submitted.
+ShardObserver = Callable[[PointState, int, BatchResult, ShardInfo, float], None]
+
+
+class ShardTransport:
+    """Base of the executors that move shards; owns the one driver loop.
+
+    A transport sets ``entries`` (key -> :class:`PoolEntry`) and ``workers``
+    (its executor count, which sizes the in-flight cap) and implements:
+
+    * :meth:`submit` — start one shard, return an opaque handle;
+    * :meth:`poll` — the shard's ``(BatchResult, ShardInfo)`` or ``None``
+      while it is outstanding; raises when the shard can never complete;
+    * :meth:`cancel` — forget a speculative shard;
+    * :meth:`step` — once per loop iteration, after submission and before
+      folding; ``progressed`` says whether the previous iteration folded a
+      shard or finished a point.
+    """
+
+    entries: dict[Any, PoolEntry]
+    workers: int
+
+    def __enter__(self) -> "ShardTransport":
+        return self
+
+    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
+        return None
+
+    def submit(
+        self,
+        key: Hashable,
+        ebn0_db: float,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> Any:
+        raise NotImplementedError
+
+    def poll(self, handle: Any) -> tuple[BatchResult, ShardInfo] | None:
+        raise NotImplementedError
+
+    def cancel(self, handle: Any) -> None:
+        raise NotImplementedError
+
+    def step(self, progressed: bool) -> None:
+        raise NotImplementedError
+
+    def run_states(
+        self,
+        states: Sequence[PointState],
+        *,
+        on_point: PointObserver | None = None,
+        on_shard: ShardObserver | None = None,
+    ) -> list[SimulationPoint]:
+        """Drive every :class:`PointState` to completion over this transport.
+
+        Dispatch is round-robin across the active states, so every point
+        keeps the workers fed and early-stopping points release capacity
+        quickly; ``on_point`` fires as each point completes (completion
+        order, not input order).  Returns the points in input order.
+
+        ``on_shard`` is the telemetry observer, called per folded shard
+        strictly after its result exists and before the stopping rule;
+        when set, dispatch timestamps are taken so the observer can split
+        queue wait from compute.  Both callbacks are write-only: dispatch
+        order, RNG spawning and stopping decisions are identical with or
+        without them.
+        """
+        for state in states:
+            if state.key not in self.entries:
+                raise KeyError(f"state references unknown pool entry {state.key!r}")
+        if not states:
+            return []
+        max_inflight = self.workers * _INFLIGHT_PER_WORKER
+        active = list(states)
+        progressed = True
+        while active:
+            inflight = sum(len(state.pending) for state in active)
+            made_submission = True
+            while inflight < max_inflight and made_submission:
+                made_submission = False
+                for state in active:
+                    if inflight >= max_inflight:
+                        break
+                    shard = state.next_shard()
+                    if shard is None:
+                        continue
+                    size, child = shard
+                    index = state.shards_dispatched
+                    dispatched_at = clock.monotonic() if on_shard is not None else 0.0
+                    handle = self.submit(state.key, state.ebn0_db, index, size, child)
+                    state.pending.append((handle, index, dispatched_at))
+                    state.shards_dispatched += 1
+                    inflight += 1
+                    made_submission = True
+
+            self.step(progressed)
+
+            progressed = False
+            for state in active:
+                while state.pending:
+                    handle, index, dispatched_at = state.pending[0]
+                    shard_result = self.poll(handle)
+                    if shard_result is None:
+                        break
+                    state.pending.popleft()
+                    progressed = True
+                    result, info = shard_result
+                    if on_shard is not None:
+                        on_shard(state, index, result, info, dispatched_at)
+                    if not consume_shard(state.counter, result, state.config):
+                        # Stopping rule hit: everything already dispatched
+                        # beyond this shard is speculative, never counted.
+                        state.stopped = True
+                        for speculative, _, _ in state.pending:
+                            self.cancel(speculative)
+                        state.pending.clear()
+            finished = [state for state in active if state.done]
+            for state in finished:
+                active.remove(state)
+                progressed = True
+                if on_point is not None:
+                    on_point(state, state.to_point())
+        return [state.to_point() for state in states]
+
+
+# Worker-process state: the entry registry shipped by the initializer and the
+# simulators built (lazily, per entry key) from it.
+_WORKER_ENTRIES: dict[Any, PoolEntry] = {}
+_WORKER_SIMULATORS: dict[Any, MonteCarloSimulator] = {}
+
+
+def _init_worker(entries: dict[Any, PoolEntry]) -> None:
+    """Pool initializer: receive the entry registry."""
+    global _WORKER_ENTRIES, _WORKER_SIMULATORS
+    _WORKER_ENTRIES = dict(entries)
+    _WORKER_SIMULATORS = {}
+
+
+def _run_pool_shard(
+    key: Hashable, ebn0_db: float, size: int, seed: np.random.SeedSequence
+) -> tuple[BatchResult, ShardInfo]:
+    """Pool task body: one shard on this worker's simulator for ``key``."""
+    simulator = _WORKER_SIMULATORS.get(key)
+    if simulator is None:
+        simulator = _WORKER_SIMULATORS[key] = _WORKER_ENTRIES[key].simulator()
+    return run_shard(simulator, ebn0_db, size, seed, os.getpid())
+
+
+class SharedWorkerPool(ShardTransport):
+    """A ``multiprocessing`` pool transport serving any number of experiments.
 
     Parameters
     ----------
@@ -241,30 +364,21 @@ class SharedWorkerPool:
     mp_context:
         ``multiprocessing`` context (or start-method name); defaults to
         ``fork`` when available so non-picklable factories work.
-    eager_build:
-        Build every entry's simulator in each worker's initializer instead
-        of lazily on first shard.  With this set, :meth:`warmup` guarantees
-        construction cost stays out of subsequent runs.
 
-    The pool is a context manager; processes start lazily on first use and
-    are torn down by :meth:`close` / ``with``-exit.
+    The pool is a context manager; processes start lazily on the first
+    submitted shard and are torn down by :meth:`close` / ``with``-exit.
     """
-
-    #: Dispatch at most this many shards per worker ahead of aggregation.
-    _INFLIGHT_PER_WORKER = 2
 
     def __init__(
         self,
-        entries: Mapping[object, PoolEntry],
+        entries: Mapping[Any, PoolEntry],
         *,
         workers: int | None = None,
-        mp_context=None,
-        eager_build: bool = False,
-    ):
+        mp_context: Any = None,
+    ) -> None:
         if not entries:
             raise ValueError("a SharedWorkerPool needs at least one entry")
         self.entries = dict(entries)
-        self.eager_build = bool(eager_build)
         self.workers = max(1, int(workers or os.cpu_count() or 1))
         if mp_context is None or isinstance(mp_context, str):
             methods = multiprocessing.get_all_start_methods()
@@ -273,13 +387,12 @@ class SharedWorkerPool:
             )
             mp_context = multiprocessing.get_context(method)
         self._ctx = mp_context
-        self._pool = None
+        self._pool: Any = None
+        # Submitted, not yet folded or cancelled, oldest first.
+        self._outstanding: dict[Any, None] = {}
 
     # ------------------------------------------------------------------ #
-    def __enter__(self) -> "SharedWorkerPool":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
+    def __exit__(self, exc_type: Any, exc_value: Any, traceback: Any) -> None:
         # Bail out hard when an exception is unwinding (a Ctrl-C must not
         # wait for speculative shards); shut down gracefully otherwise.
         self.close(force=exc_type is not None)
@@ -303,8 +416,9 @@ class SharedWorkerPool:
                 self._pool.close()
             self._pool.join()
             self._pool = None
+        self._outstanding.clear()
 
-    def _ensure_pool(self):
+    def _ensure_pool(self) -> Any:
         if self._pool is None:
             if self._ctx.get_start_method() != "fork":
                 # Spawn/forkserver pickle the initargs; fail with an
@@ -325,226 +439,38 @@ class SharedWorkerPool:
             self._pool = self._ctx.Pool(
                 processes=self.workers,
                 initializer=_init_worker,
-                initargs=(self.entries, self.eager_build),
+                initargs=(self.entries,),
             )
         return self._pool
 
-    def warmup(self) -> None:
-        """Start the pool and wait until it serves one trivial task per worker.
-
-        Useful before timing measurements: worker start-up (process fork,
-        registry transfer, and — with ``eager_build`` — per-worker simulator
-        construction) otherwise lands inside the first measured run.
-        Without ``eager_build`` simulators still build lazily on the first
-        shard of each entry.
-        """
-        pool = self._ensure_pool()
-        probes = [pool.apply_async(_worker_probe, ()) for _ in range(self.workers)]
-        for result in probes:
-            result.get()
-
     # ------------------------------------------------------------------ #
-    def run_states(
+    def submit(
         self,
-        states: Sequence[PointState],
-        *,
-        on_point: Callable[[PointState, SimulationPoint], None] | None = None,
-        on_shard: Callable | None = None,
-    ) -> list[SimulationPoint]:
-        """Drive every :class:`PointState` to completion over the pool.
-
-        Dispatch is round-robin across the active states, so every point
-        keeps the pool fed and early-stopping points release capacity
-        quickly; ``on_point`` fires as each point completes (completion
-        order, not input order).  Returns the points in input order.
-
-        ``on_shard`` is the telemetry observer threaded into
-        :meth:`PointState.consume_ready`; when set, dispatch timestamps are
-        taken so the observer can split queue wait from compute.  Both
-        callbacks are write-only with respect to the run: dispatch order,
-        RNG spawning and stopping decisions are identical with or without
-        them.
-        """
-        for state in states:
-            if state.key not in self.entries:
-                raise KeyError(f"state references unknown pool entry {state.key!r}")
-        if not states:
-            return []
-        pool = self._ensure_pool()
-        max_inflight = self.workers * self._INFLIGHT_PER_WORKER
-        active = list(states)
-        while active:
-            inflight = sum(len(state.pending) for state in active)
-            made_submission = True
-            while inflight < max_inflight and made_submission:
-                made_submission = False
-                for state in active:
-                    if inflight >= max_inflight:
-                        break
-                    shard = state.next_shard()
-                    if shard is None:
-                        continue
-                    size, child = shard
-                    dispatched_at = (
-                        clock.monotonic() if on_shard is not None else 0.0
-                    )
-                    state.pending.append(
-                        (
-                            pool.apply_async(
-                                _run_shard, (state.key, state.ebn0_db, size, child)
-                            ),
-                            state.shards_dispatched,
-                            dispatched_at,
-                        )
-                    )
-                    state.shards_dispatched += 1
-                    inflight += 1
-                    made_submission = True
-
-            progressed = False
-            for state in active:
-                if state.consume_ready(on_shard):
-                    progressed = True
-            finished = [state for state in active if state.done]
-            for state in finished:
-                active.remove(state)
-                if on_point is not None:
-                    on_point(state, state.to_point())
-            if active and not progressed and not finished:
-                # Nothing ready yet: block briefly on an outstanding shard
-                # instead of spinning.
-                outstanding = next(
-                    (state.pending[0][0] for state in active if state.pending), None
-                )
-                if outstanding is not None:
-                    outstanding.wait(0.01)
-                else:  # pragma: no cover - all pending empty implies done
-                    time.sleep(0.001)
-        return [state.to_point() for state in states]
-
-
-class ParallelMonteCarloEngine:
-    """Worker-pool Monte-Carlo engine for one code + decoder-factory pair.
-
-    Parameters
-    ----------
-    code:
-        Code (or ``ShortenedCode``) to simulate.
-    decoder_factory:
-        Zero-argument callable returning a fresh decoder; called once in
-        every worker process.
-    config:
-        Batching and stopping rules (shared by every point).
-    workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    mp_context:
-        ``multiprocessing`` context (or start-method name); defaults to
-        ``fork`` when available so non-picklable factories work.
-    pipeline:
-        Optional :class:`~repro.channel.pipeline.ChannelPipeline` (modulator
-        + channel model) every worker simulates over; ``None`` is the
-        default BPSK/AWGN pipeline.  Must be picklable under non-``fork``
-        start methods (the built-in pipelines are).
-
-    The engine is a context manager; the pool is created lazily on first use
-    and torn down by :meth:`close` / ``with``-exit.
-    """
-
-    _ENTRY_KEY = "point"
-
-    def __init__(
-        self,
-        code,
-        decoder_factory: Callable[[], object],
-        *,
-        config: SimulationConfig | None = None,
-        workers: int | None = None,
-        mp_context=None,
-        pipeline=None,
-    ):
-        self.config = config or SimulationConfig()
-        self._shared = SharedWorkerPool(
-            {self._ENTRY_KEY: PoolEntry(code, decoder_factory, self.config, pipeline)},
-            workers=workers,
-            mp_context=mp_context,
-            # One entry that every worker will serve: build it in the
-            # initializer so warmup() excludes construction from timed runs.
-            eager_build=True,
+        key: Hashable,
+        ebn0_db: float,
+        shard_index: int,
+        size: int,
+        seed: np.random.SeedSequence,
+    ) -> Any:
+        handle = self._ensure_pool().apply_async(
+            _run_pool_shard, (key, ebn0_db, size, seed)
         )
+        self._outstanding[handle] = None
+        return handle
 
-    # ------------------------------------------------------------------ #
-    @property
-    def workers(self) -> int:
-        return self._shared.workers
+    def poll(self, handle: Any) -> tuple[BatchResult, ShardInfo] | None:
+        if not handle.ready():
+            return None
+        self._outstanding.pop(handle, None)
+        shard: tuple[BatchResult, ShardInfo] = handle.get()  # re-raises
+        return shard
 
-    @property
-    def _pool(self):
-        return self._shared._pool
+    def cancel(self, handle: Any) -> None:
+        # A pool task cannot be recalled; its result is simply never read.
+        self._outstanding.pop(handle, None)
 
-    def _ensure_pool(self):
-        return self._shared._ensure_pool()
-
-    def __enter__(self) -> "ParallelMonteCarloEngine":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self._shared.close(force=exc_type is not None)
-
-    def close(self, *, force: bool = False) -> None:
-        """Shut the worker pool down (idempotent); see
-        :meth:`SharedWorkerPool.close` for the ``force`` semantics."""
-        self._shared.close(force=force)
-
-    def warmup(self) -> None:
-        """Start the pool and wait until every worker served a trivial task."""
-        self._shared.warmup()
-
-    # ------------------------------------------------------------------ #
-    def run_point(self, ebn0_db: float, *, rng=None) -> SimulationPoint:
-        """Simulate one Eb/N0 point across the pool.
-
-        ``rng`` seeds the point exactly like the serial simulator's ``rng``
-        argument: the same seed gives bit-identical counts.
-        """
-        (point,) = self.run_point_jobs([(float(ebn0_db), as_seed_sequence(rng))])
-        return point
-
-    def run_sweep(
-        self,
-        ebn0_grid: Sequence[float],
-        *,
-        rng=None,
-        progress: Callable[[SimulationPoint], None] | None = None,
-    ) -> list[SimulationPoint]:
-        """Simulate every grid point, keeping independent points in flight.
-
-        ``rng`` is the master seed; every point receives child stream ``i``
-        of :func:`repro.utils.rng.spawn_seed_sequences` — the same derivation
-        the serial sweep uses, so serial and parallel sweeps agree exactly.
-        ``progress`` is invoked with each :class:`SimulationPoint` as it
-        completes (completion order, not grid order).
-        """
-        grid = [float(x) for x in ebn0_grid]
-        seeds = spawn_seed_sequences(rng, len(grid))
-        return self.run_point_jobs(list(zip(grid, seeds)), progress=progress)
-
-    def run_point_jobs(
-        self,
-        jobs: Sequence[tuple[float, np.random.SeedSequence]],
-        *,
-        progress: Callable[[SimulationPoint], None] | None = None,
-    ) -> list[SimulationPoint]:
-        """Simulate explicit ``(ebn0_db, seed_sequence)`` jobs over the pool.
-
-        This is the resume primitive: a caller that re-derives the full
-        grid's seed sequences but submits only the missing points gets counts
-        bit-identical to an uninterrupted run.
-        """
-        states = [
-            PointState(self._ENTRY_KEY, ebn0, seed, self.config)
-            for ebn0, seed in jobs
-        ]
-        on_point = None
-        if progress is not None:
-            on_point = lambda state, point: progress(point)  # noqa: E731
-        return self._shared.run_states(states, on_point=on_point)
+    def step(self, progressed: bool) -> None:
+        if not progressed and self._outstanding:
+            # Nothing folded last time round: block briefly on the oldest
+            # outstanding shard instead of spinning.
+            next(iter(self._outstanding)).wait(0.01)

@@ -14,8 +14,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
-from repro.sim.parallel import ParallelMonteCarloEngine
+from repro.sim.montecarlo import SimulationConfig
+from repro.sim.parallel import PointState, PoolEntry, SharedWorkerPool
 from repro.sim.results import SimulationCurve, SimulationPoint
 from repro.utils.formatting import format_table
 from repro.utils.rng import ensure_rng, spawn_seed_sequences
@@ -44,7 +44,7 @@ class EbN0Sweep:
     workers:
         Default worker count for :meth:`run`.  ``None`` (the default) runs
         serially in-process; any positive count shards the frame budgets over
-        a :class:`~repro.sim.parallel.ParallelMonteCarloEngine` pool.  For a
+        a one-entry :class:`~repro.sim.parallel.SharedWorkerPool`.  For a
         fixed master seed the counts are identical either way.
     pipeline:
         Optional :class:`~repro.channel.pipeline.ChannelPipeline` (modulator
@@ -133,6 +133,11 @@ class EbN0Sweep:
         return curve
 
     # ------------------------------------------------------------------ #
+    def _entry(self) -> PoolEntry:
+        return PoolEntry(
+            self._code, self._decoder_factory, self._config, self._pipeline
+        )
+
     def _run_serial(
         self,
         jobs: list[tuple[float, np.random.SeedSequence]],
@@ -140,13 +145,7 @@ class EbN0Sweep:
     ) -> list[SimulationPoint]:
         if not jobs:
             return []
-        simulator = MonteCarloSimulator(
-            self._code,
-            self._decoder_factory(),
-            config=self._config,
-            rng=0,
-            pipeline=self._pipeline,
-        )
+        simulator = self._entry().simulator()
         points = []
         for ebn0_db, stream in jobs:
             point = simulator.run_point(ebn0_db, rng=stream)
@@ -164,18 +163,13 @@ class EbN0Sweep:
         if not jobs:
             return []
 
-        def emit(point: SimulationPoint) -> None:
+        def on_point(state: PointState, point: SimulationPoint) -> None:
             if progress is not None:
                 progress(_progress_line(point))
 
-        with ParallelMonteCarloEngine(
-            self._code,
-            self._decoder_factory,
-            config=self._config,
-            workers=workers,
-            pipeline=self._pipeline,
-        ) as engine:
-            return engine.run_point_jobs(jobs, progress=emit)
+        states = [PointState(None, ebn0, seed, self._config) for ebn0, seed in jobs]
+        with SharedWorkerPool({None: self._entry()}, workers=workers) as pool:
+            return pool.run_states(states, on_point=on_point)
 
     @staticmethod
     def format_curves(curves: Sequence[SimulationCurve]) -> str:

@@ -582,6 +582,44 @@ class TestFabricTelemetry:
         # Rendering is a pure function of the recorded log.
         assert trace_summary(tmp_path / "c") == text
 
+    def test_fabric_run_records_its_worker_count(self, tmp_path):
+        """campaign_start names the fabric's fleet, not "serial"."""
+        spec = tiny_spec()
+        store = ResultStore.create(tmp_path / "c", spec)
+        CampaignScheduler(
+            spec, store, telemetry=True, fabric=self._fabric(None, workers=2)
+        ).run()
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        (start,) = events_of_type(records, "campaign_start")
+        assert start["workers"] == 2
+        metrics = MetricsRegistry.load(tmp_path / "c" / "telemetry" / "metrics.json")
+        assert metrics["gauges"]["workers"] == 2
+        text = trace_summary(tmp_path / "c")
+        assert "2 worker(s)" in text and "serial" not in text
+
+    def test_fabric_shards_carry_compute_time_and_stage_split(self, tmp_path):
+        plain, _ = run_campaign(tmp_path / "plain", telemetry=False)
+        spec = tiny_spec()
+        store = ResultStore.create(tmp_path / "c", spec)
+        CampaignScheduler(
+            spec, store, telemetry=True, fabric=self._fabric(None, workers=2)
+        ).run()
+        assert curve_bytes(store) == curve_bytes(plain)
+        metrics = MetricsRegistry.load(tmp_path / "c" / "telemetry" / "metrics.json")
+        counters = metrics["counters"]
+        assert counters["shard_compute_seconds_total"] > 0
+        stages = {
+            name: value
+            for name, value in counters.items()
+            if name.startswith("stage_seconds.")
+        }
+        assert stages and sum(stages.values()) > 0
+        records = read_events(tmp_path / "c" / "telemetry" / "events.jsonl")
+        shards = events_of_type(records, "shard_completed")
+        assert shards and all(r["seconds"] > 0 for r in shards)
+        assert {r["worker"] for r in shards} <= {0, 1}
+        assert "Hot-path stage breakdown" in trace_summary(tmp_path / "c")
+
     def test_trace_omits_fabric_section_for_pool_runs(self, tmp_path):
         run_campaign(tmp_path / "c", workers=2, telemetry=True)
         assert "Fabric fleet" not in trace_summary(tmp_path / "c")

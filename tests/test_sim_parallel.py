@@ -1,20 +1,20 @@
-"""Tests for the sharded parallel Monte-Carlo engine and shard planning."""
+"""Tests for shard planning, the shared driver loop and its transports."""
 
 import numpy as np
 import pytest
 
 from repro.decode import MinSumDecoder, NormalizedMinSumDecoder
+from repro.fabric import FabricPool, FilesystemBroker
 from repro.sim import (
     EbN0Sweep,
     MonteCarloSimulator,
-    ParallelMonteCarloEngine,
     PoolEntry,
     SharedWorkerPool,
     SimulationConfig,
     iter_shard_sizes,
 )
 from repro.sim.parallel import PointState
-from repro.utils.rng import spawn_seed_sequences
+from repro.utils.rng import as_seed_sequence, spawn_seed_sequences
 
 
 def _factory_for(code, iterations=8):
@@ -77,42 +77,93 @@ class TestShardSchedule:
             SimulationConfig(batch_frames=16, max_batch_frames=8)
 
 
-class TestParallelDeterminism:
-    def test_run_point_matches_serial_for_any_worker_count(self, scaled_code):
-        config = SimulationConfig(
-            max_frames=60, target_frame_errors=6, batch_frames=10, all_zero_codeword=True
-        )
-        factory = _factory_for(scaled_code)
-        serial = MonteCarloSimulator(
-            scaled_code, factory(), config=config, rng=42
-        ).run_point(2.0)
+def _early_stop_case(scaled_code, scaled_encoder):
+    config = SimulationConfig(
+        max_frames=60, target_frame_errors=6, batch_frames=10, all_zero_codeword=True
+    )
+
+    def check(serial):
         assert serial.frame_errors >= 6  # the early-stop path is exercised
-        for workers in (1, 2, 4):
-            with ParallelMonteCarloEngine(
-                scaled_code, factory, config=config, workers=workers
-            ) as engine:
-                point = engine.run_point(2.0, rng=42)
-            assert point == serial
 
-    def test_run_point_matches_serial_with_adaptive_batching(self, scaled_code):
-        config = SimulationConfig(
-            max_frames=80,
-            target_frame_errors=50,
-            batch_frames=5,
-            all_zero_codeword=True,
-            adaptive_batch=True,
-            max_batch_frames=40,
-        )
-        factory = _factory_for(scaled_code)
-        serial = MonteCarloSimulator(
-            scaled_code, factory(), config=config, rng=9
-        ).run_point(7.0)
+    return scaled_code, _factory_for(scaled_code), config, 2.0, 42, check
+
+
+def _adaptive_case(scaled_code, scaled_encoder):
+    config = SimulationConfig(
+        max_frames=80,
+        target_frame_errors=50,
+        batch_frames=5,
+        all_zero_codeword=True,
+        adaptive_batch=True,
+        max_batch_frames=40,
+    )
+
+    def check(serial):
         assert serial.frames == 80  # high SNR: budget exhausted, batches grew
-        with ParallelMonteCarloEngine(
-            scaled_code, factory, config=config, workers=2
-        ) as engine:
-            assert engine.run_point(7.0, rng=9) == serial
 
+    return scaled_code, _factory_for(scaled_code), config, 7.0, 9, check
+
+
+def _shortened_random_case(scaled_code, scaled_encoder):
+    from repro.codes.shortening import ShortenedCode
+
+    shortened = ShortenedCode.from_encoder(
+        scaled_code, scaled_encoder, info_bits=scaled_code.dimension - 8
+    )
+    config = SimulationConfig(max_frames=10, target_frame_errors=10, batch_frames=5)
+
+    def check(point):
+        assert point.bits == point.frames * shortened.transmitted_code_bits
+
+    return shortened, _factory_for(scaled_code, iterations=10), config, 6.0, 6, check
+
+
+ORACLE_CASES = {
+    "early-stop": _early_stop_case,
+    "adaptive-batching": _adaptive_case,
+    "shortened-random-data": _shortened_random_case,
+}
+
+TRANSPORTS = ["pool-1", "pool-2", "pool-4", "fabric-inprocess", "fabric-filesystem"]
+
+
+def _transport(name, entries, tmp_path, **pool_options):
+    """Build one of the transports the shared driver loop runs over."""
+    if name.startswith("pool-"):
+        return SharedWorkerPool(entries, workers=int(name[5:]), **pool_options)
+    broker = None
+    if name == "fabric-filesystem":
+        broker = FilesystemBroker.create(
+            tmp_path / "broker", {"campaign": "oracle", "entries": {}}
+        )
+    return FabricPool(entries, broker=broker, workers=2)
+
+
+class TestTransportOracle:
+    """Every transport, through the one driver loop, reproduces the serial
+    reference ``MonteCarloSimulator.run_point`` exactly."""
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_run_point(
+        self, case, transport, scaled_code, scaled_encoder, tmp_path
+    ):
+        code, factory, config, ebn0, seed, check = ORACLE_CASES[case](
+            scaled_code, scaled_encoder
+        )
+        simulator = MonteCarloSimulator(code, factory(), config=config, rng=seed)
+        serial = simulator.run_point(ebn0)
+        check(serial)
+        entries = {"oracle": PoolEntry(code, factory, config)}
+        state = PointState("oracle", ebn0, as_seed_sequence(seed), config)
+        with _transport(transport, entries, tmp_path) as executor:
+            assert executor.run_states([]) == []
+            (point,) = executor.run_states([state])
+        assert point == serial
+        check(point)
+
+
+class TestParallelDeterminism:
     def test_sweep_matches_serial(self, scaled_code):
         config = SimulationConfig(
             max_frames=40, target_frame_errors=5, batch_frames=10, all_zero_codeword=True
@@ -151,70 +202,36 @@ class TestParallelEngineBehaviour:
         assert all("Eb/N0" in m for m in messages)
 
     def test_empty_grid(self, scaled_code):
-        with ParallelMonteCarloEngine(
-            scaled_code, _factory_for(scaled_code), workers=2
-        ) as engine:
-            assert engine.run_sweep([]) == []
+        sweep = EbN0Sweep(scaled_code, _factory_for(scaled_code), rng=1, workers=2)
+        assert sweep.run([]).points == []
 
     def test_pool_is_reused_across_points(self, scaled_code):
         config = SimulationConfig(
             max_frames=10, target_frame_errors=5, batch_frames=5, all_zero_codeword=True
         )
-        with ParallelMonteCarloEngine(
-            scaled_code, _factory_for(scaled_code), config=config, workers=2
-        ) as engine:
-            engine.run_point(4.0, rng=1)
-            pool = engine._pool
-            engine.run_point(5.0, rng=1)
-            assert engine._pool is pool
-        assert engine._pool is None  # closed on exit
+        entries = {"only": PoolEntry(scaled_code, _factory_for(scaled_code), config)}
+        seeds = spawn_seed_sequences(1, 2)
+        with SharedWorkerPool(entries, workers=2) as pool:
+            pool.run_states([PointState("only", 4.0, seeds[0], config)])
+            processes = pool._pool
+            pool.run_states([PointState("only", 5.0, seeds[1], config)])
+            assert pool._pool is processes
+        assert pool._pool is None  # closed on exit
 
-    def test_warmup_does_not_change_results(self, scaled_code):
-        config = SimulationConfig(
-            max_frames=20, target_frame_errors=5, batch_frames=10, all_zero_codeword=True
-        )
-        factory = _factory_for(scaled_code)
-        serial = MonteCarloSimulator(
-            scaled_code, factory(), config=config, rng=21
-        ).run_point(3.0)
-        with ParallelMonteCarloEngine(
-            scaled_code, factory, config=config, workers=2
-        ) as engine:
-            engine.warmup()
-            assert engine.run_point(3.0, rng=21) == serial
-
-    def test_spawn_context_rejects_unpicklable_factory(self, scaled_code):
+    def test_spawn_context_rejects_unpicklable_factory(self, scaled_code, tmp_path):
         import multiprocessing
 
         if "spawn" not in multiprocessing.get_all_start_methods():  # pragma: no cover
             pytest.skip("spawn start method unavailable")
-        engine = ParallelMonteCarloEngine(
-            scaled_code,
-            _factory_for(scaled_code),  # closure: not picklable
-            workers=2,
-            mp_context="spawn",
-        )
+        config = SimulationConfig(max_frames=10, target_frame_errors=5, batch_frames=5)
+        entries = {  # closure factory: not picklable
+            "oracle": PoolEntry(scaled_code, _factory_for(scaled_code), config)
+        }
+        (seed,) = spawn_seed_sequences(1, 1)
+        pool = _transport("pool-2", entries, tmp_path, mp_context="spawn")
         with pytest.raises(TypeError, match="picklable"):
-            engine._ensure_pool()
-        engine.close()
-
-    def test_shortened_code_random_data_parallel(self, scaled_code, scaled_encoder):
-        from repro.codes.shortening import ShortenedCode
-
-        shortened = ShortenedCode.from_encoder(
-            scaled_code, scaled_encoder, info_bits=scaled_code.dimension - 8
-        )
-        config = SimulationConfig(max_frames=10, target_frame_errors=10, batch_frames=5)
-        factory = _factory_for(scaled_code, iterations=10)
-        serial = MonteCarloSimulator(
-            shortened, factory(), config=config, rng=6
-        ).run_point(6.0)
-        with ParallelMonteCarloEngine(
-            shortened, factory, config=config, workers=2
-        ) as engine:
-            parallel = engine.run_point(6.0, rng=6)
-        assert parallel == serial
-        assert parallel.bits == parallel.frames * shortened.transmitted_code_bits
+            pool.run_states([PointState("oracle", 3.0, seed, config)])
+        pool.close()
 
 
 class TestSharedWorkerPool:

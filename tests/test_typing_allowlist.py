@@ -17,14 +17,15 @@ import pytest
 
 REPO_ROOT = Path(__file__).parents[1]
 
-#: Modules promoted into mypy.ini's strict allowlist by the flow-analysis
-#: PR.  (The audit is kept to these rather than parsing every allowlist
-#: glob so it stays a cheap, targeted regression net.)
+#: Modules promoted into mypy.ini's strict allowlist.  (The audit is kept
+#: to these rather than parsing every allowlist glob so it stays a cheap,
+#: targeted regression net.)
 PROMOTED = sorted(
     [
         *(REPO_ROOT / "src" / "repro" / "fabric").glob("*.py"),
         REPO_ROOT / "src" / "repro" / "decode" / "graph.py",
         REPO_ROOT / "src" / "repro" / "decode" / "batched.py",
+        REPO_ROOT / "src" / "repro" / "sim" / "parallel.py",
     ]
 )
 
@@ -35,6 +36,7 @@ def test_mypy_ini_promotes_the_modules():
     for section in (
         "mypy-repro.fabric,repro.fabric.*",
         "mypy-repro.decode.graph,repro.decode.batched",
+        "mypy-repro.sim.parallel",
     ):
         assert config.has_section(section), section
         assert config.get(section, "ignore_errors") == "False"
