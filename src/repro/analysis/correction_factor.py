@@ -27,7 +27,7 @@ import numpy as np
 from repro.channel.awgn import ebn0_to_sigma
 from repro.channel.llr import channel_llrs
 from repro.channel.modulation import BPSKModulator
-from repro.decode.messages import EdgeStructure
+from repro.decode.graph import tanner_graph
 from repro.encode.systematic import as_parity_check_matrix
 from repro.utils.rng import ensure_rng
 
@@ -162,7 +162,7 @@ def empirical_mean_mismatch(
     """
     rng = ensure_rng(rng if rng is not None else 7)
     pcm = as_parity_check_matrix(code)
-    edges = EdgeStructure(pcm)
+    edges = tanner_graph(pcm)
     n = pcm.block_length
     rate = pcm.dimension / n if hasattr(pcm, "dimension") else 0.875
     sigma = ebn0_to_sigma(ebn0_db, rate)

@@ -5,6 +5,14 @@ either a single frame or a batch of frames (the batch dimension mirrors the
 high-speed architecture's concurrent frames), and return a
 :class:`~repro.decode.result.DecodeResult`.
 
+Every decoder is built the same way (:class:`~repro.decode.base.FrameBatchDecoder`):
+the code is coerced to a parity-check matrix and the decoder holds that
+matrix's one cached :class:`~repro.decode.graph.TannerGraph`.  The graph
+is the only graph type and the only home of the min-sum check-node
+kernel; the flooding decoders run it on the whole graph, the layered
+decoder on per-layer sub-graphs (contiguous check ranges, see
+:meth:`~repro.decode.graph.TannerGraph.layers`).
+
 * :class:`~repro.decode.sum_product.SumProductDecoder` — full belief
   propagation (tanh rule), the reference algorithm.
 * :class:`~repro.decode.min_sum.MinSumDecoder` — the sign-min simplification.
@@ -12,7 +20,8 @@ high-speed architecture's concurrent frames), and return a
   paper's scaled correction factor ``1/alpha`` (equation 2).
 * :class:`~repro.decode.min_sum.OffsetMinSumDecoder` — offset-corrected
   min-sum.
-* :class:`~repro.decode.layered.LayeredMinSumDecoder` — row-layered schedule.
+* :class:`~repro.decode.layered.LayeredMinSumDecoder` — normalized min-sum
+  on the row-layered schedule.
 * :class:`~repro.decode.fixed_point.QuantizedMinSumDecoder` — normalized
   min-sum with fixed-point messages, modelling the FPGA datapath.
 * :class:`~repro.decode.hard_decision.GallagerBDecoder` and
@@ -43,7 +52,6 @@ from repro.decode.fixed_point import QuantizedMinSumDecoder
 from repro.decode.graph import TannerGraph, tanner_graph
 from repro.decode.hard_decision import GallagerBDecoder, WeightedBitFlippingDecoder
 from repro.decode.layered import LayeredMinSumDecoder
-from repro.decode.messages import EdgeStructure
 from repro.decode.min_sum import (
     MinSumDecoder,
     NormalizedMinSumDecoder,
@@ -54,7 +62,6 @@ from repro.decode.stopping import StoppingCriterion, SyndromeStopping, FixedIter
 from repro.decode.sum_product import SumProductDecoder
 
 __all__ = [
-    "EdgeStructure",
     "TannerGraph",
     "tanner_graph",
     "DecodeResult",

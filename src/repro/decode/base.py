@@ -29,10 +29,13 @@ period.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Any
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from repro.decode.messages import EdgeStructure
+from repro.codes.parity_check import ParityCheckMatrix
+from repro.decode.graph import TannerGraph, tanner_graph
 from repro.decode.result import DecodeResult
 from repro.decode.stopping import StoppingCriterion, SyndromeStopping
 from repro.encode.systematic import as_parity_check_matrix
@@ -42,7 +45,14 @@ __all__ = ["FrameBatchDecoder", "MessagePassingDecoder", "decode_frames"]
 
 
 class FrameBatchDecoder:
-    """Shared single-frame / batched entry points over a 2-D decoding core.
+    """Shared set-up and single-frame / batched entry points of every decoder.
+
+    The constructor does the set-up every built-in decoder shares: it
+    coerces ``code`` (a ``QCLDPCCode``, ``ParityCheckMatrix``,
+    ``ShortenedCode`` or dense H matrix) to a parity-check matrix, takes the
+    matrix's cached :class:`~repro.decode.graph.TannerGraph` (so every
+    decoder on one code holds the same graph object) and validates
+    ``max_iterations``.
 
     Subclasses implement ``_decode_array(llrs)`` on a ``(batch, n)`` float64
     array and get consistent ``decode`` (1-D or 2-D input, squeezed output
@@ -51,9 +61,29 @@ class FrameBatchDecoder:
     simulator's :func:`decode_frames` dispatch looks for.
     """
 
-    block_length: int
+    def __init__(self, code: Any, max_iterations: int) -> None:
+        if max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        self._pcm = as_parity_check_matrix(code)
+        self._graph = tanner_graph(self._pcm)
+        self.max_iterations = int(max_iterations)
 
-    def _coerce_llrs(self, channel_llrs) -> np.ndarray:
+    @property
+    def parity_check(self) -> ParityCheckMatrix:
+        """The parity-check matrix being decoded against."""
+        return self._pcm
+
+    @property
+    def edge_structure(self) -> TannerGraph:
+        """The shared Tanner graph of :attr:`parity_check`."""
+        return self._graph
+
+    @property
+    def block_length(self) -> int:
+        """Codeword length ``n``."""
+        return self._pcm.block_length
+
+    def _coerce_llrs(self, channel_llrs: ArrayLike) -> np.ndarray:
         llrs = np.asarray(channel_llrs, dtype=np.float64)
         if llrs.ndim != 2 or llrs.shape[1] != self.block_length:
             raise ValueError(
@@ -66,7 +96,7 @@ class FrameBatchDecoder:
         """Decode a validated ``(batch, n)`` array (implemented by subclasses)."""
         raise NotImplementedError
 
-    def decode(self, channel_llrs) -> DecodeResult:
+    def decode(self, channel_llrs: ArrayLike) -> DecodeResult:
         """Decode a frame or a batch of frames of channel LLRs.
 
         Parameters
@@ -95,7 +125,7 @@ class FrameBatchDecoder:
             )
         return result
 
-    def decode_batch(self, channel_llrs) -> DecodeResult:
+    def decode_batch(self, channel_llrs: ArrayLike) -> DecodeResult:
         """Decode a strict ``(batch, n)`` array of channel LLRs.
 
         The batched entry point of the simulator hot path: always returns
@@ -105,7 +135,7 @@ class FrameBatchDecoder:
         return self._decode_array(self._coerce_llrs(channel_llrs))
 
 
-def decode_frames(decoder, channel_llrs) -> DecodeResult:
+def decode_frames(decoder: Any, channel_llrs: ArrayLike) -> DecodeResult:
     """Decode a ``(batch, n)`` array through ``decoder``, batched if possible.
 
     The Monte-Carlo engine's dispatch point: decoders exposing a
@@ -147,38 +177,18 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         stopping: StoppingCriterion | None = None,
-    ):
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
-        self.max_iterations = int(max_iterations)
+    ) -> None:
+        super().__init__(code, max_iterations)
         self.stopping = stopping if stopping is not None else SyndromeStopping()
-
-    # ------------------------------------------------------------------ #
-    @property
-    def parity_check(self):
-        """The parity-check matrix being decoded against."""
-        return self._pcm
-
-    @property
-    def edge_structure(self) -> EdgeStructure:
-        """The precomputed edge arrays."""
-        return self._edges
-
-    @property
-    def block_length(self) -> int:
-        """Codeword length ``n``."""
-        return self._pcm.block_length
 
     @property
     def num_edges(self) -> int:
         """Messages exchanged per direction per iteration."""
-        return self._edges.num_edges
+        return self._graph.num_edges
 
     # ------------------------------------------------------------------ #
     # Hooks for subclasses
@@ -194,6 +204,23 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
     def _condition_messages(self, messages: np.ndarray) -> np.ndarray:
         """Hook: transform messages after each update (identity here)."""
         return messages
+
+    def _syndrome_stop(
+        self, iteration: int, posterior: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Syndrome flags of ``posterior``'s hard decisions and the stop rule.
+
+        Every decoding loop calls this with ``iteration=0`` on the channel
+        LLRs before any message passing (a received word that is already a
+        codeword records zero iterations under syndrome stopping;
+        FixedIterations never stops there, preserving the hardware's fixed
+        decoding period), then after each executed iteration.
+        """
+        syndrome_ok = np.asarray(
+            self._graph.syndrome_ok(hard_decision(posterior)), dtype=bool
+        )
+        stop = np.asarray(self.stopping.should_stop(iteration, syndrome_ok), dtype=bool)
+        return syndrome_ok, stop
 
     # ------------------------------------------------------------------ #
     # Decoding loop
@@ -219,20 +246,13 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
         because every kernel reduces each row independently.
         """
         batch = llrs.shape[0]
-        edges = self._edges
+        graph = self._graph
 
         # Initial bit-to-check messages are the channel LLRs on every edge.
-        bit_to_check = self._condition_messages(edges.gather_bits(llrs))
+        bit_to_check = self._condition_messages(graph.gather_bits(llrs))
         check_to_bit = np.zeros_like(bit_to_check)
         posterior = llrs.copy()
-
-        # Iteration 0: check the channel hard decisions before any message
-        # passing.  A received word that is already a codeword records zero
-        # iterations (under syndrome stopping); FixedIterations never stops
-        # here, preserving the hardware's fixed decoding period.
-        syndrome_ok = edges.syndrome_ok(hard_decision(llrs))
-        converged = np.asarray(syndrome_ok, dtype=bool).copy()
-        stop = np.asarray(self.stopping.should_stop(0, syndrome_ok), dtype=bool)
+        converged, stop = self._syndrome_stop(0, llrs)
         active = ~stop
         iterations = np.zeros(batch, dtype=np.int64)
 
@@ -244,17 +264,14 @@ class MessagePassingDecoder(FrameBatchDecoder, ABC):
                 self._check_node_update(bit_to_check[idx])
             )
             check_to_bit[idx] = new_check_to_bit
-            new_bit_to_check, new_posterior = edges.bit_node_update(
+            new_bit_to_check, new_posterior = graph.bit_node_update(
                 llrs[idx], new_check_to_bit
             )
             bit_to_check[idx] = self._condition_messages(new_bit_to_check)
             posterior[idx] = new_posterior
             iterations[idx] = iteration
 
-            hard = hard_decision(new_posterior)
-            syndrome_ok = edges.syndrome_ok(hard)
-            converged[idx] = syndrome_ok
-            stop = self.stopping.should_stop(iteration, syndrome_ok)
-            active[idx[np.asarray(stop, dtype=bool)]] = False
+            converged[idx], stop = self._syndrome_stop(iteration, new_posterior)
+            active[idx[stop]] = False
 
         return hard_decision(posterior), posterior, converged, iterations

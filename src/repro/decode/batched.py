@@ -1,21 +1,26 @@
 """Batched decoder kernels: thousands of frames per call, compacted state.
 
-The flooding reference loop in :class:`~repro.decode.base.MessagePassingDecoder`
-keeps full-size ``(batch, num_edges)`` state arrays and copies the active
-rows in and out every iteration.  That is simple and pinned as the
-reference, but at large batch sizes the copies dominate: a frame that
-converged at iteration 3 still pays two fancy-indexing round trips per
-remaining iteration.
+The reference loops — flooding in
+:class:`~repro.decode.base.MessagePassingDecoder`, layered in
+:class:`~repro.decode.layered.LayeredMinSumDecoder` — keep full-size
+``(batch, num_edges)`` state arrays and copy the active rows in and out
+every iteration.  That is simple and pinned as the reference, but at large
+batch sizes the copies dominate: a frame that converged at iteration 3
+still pays two fancy-indexing round trips per remaining iteration.
 
-The decoders here run the *same kernels* — shared through the cached
-:class:`~repro.decode.graph.TannerGraph` index arrays — over a **compacted
-working set**: finished frames are written to the output arrays and dropped
-from the working arrays, so the per-iteration cost shrinks with the number
-of frames still decoding.  Because every kernel (``reduceat`` segment
-reductions, gathers, elementwise ops) operates row by row, the numbers
-computed for a frame are bit-identical whether it is decoded alone, in a
-full-array batch, or in a compacted batch — the differential battery in
-``tests/test_decode_batched.py`` pins exactly this.
+Each decoder here subclasses its serial reference and replaces only the
+loop: the *same kernels* of the shared
+:class:`~repro.decode.graph.TannerGraph` (the whole graph for flooding, its
+cached per-layer sub-graphs for the layered schedule) run over a
+**compacted working set**.  Finished frames are written to the output
+arrays and dropped from the working arrays, so the per-iteration cost
+shrinks with the number of frames still decoding.  Because every kernel
+(both check-node spellings, gathers, elementwise ops) operates row by row,
+the numbers computed for a frame are bit-identical whether it is decoded
+alone, in a full-array batch, or in a compacted batch — the differential
+battery in ``tests/test_decode_batched.py`` pins exactly this.  The
+compacted working set shrinks below the padded kernel's row threshold as
+frames finish, so one decode may use both spellings.
 
 Registered kinds (each the batched twin of a serial reference):
 
@@ -78,22 +83,15 @@ class _CompactingFloodingMixin(MessagePassingDecoder):
     def _run_message_passing(
         self, llrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        edges = self._edges
-        total = llrs.shape[0]
+        graph = self._graph
         posterior_out = llrs.copy()
-        converged = np.zeros(total, dtype=bool)
-        iterations = np.zeros(total, dtype=np.int64)
-
-        # Iteration 0: syndrome of the channel hard decisions (same
-        # convention as the serial path).  Frames stopped here keep the
-        # channel LLRs as their posterior.
-        syndrome_ok = edges.syndrome_ok(hard_decision(llrs))
-        converged[:] = syndrome_ok
-        stop = np.asarray(self.stopping.should_stop(0, syndrome_ok), dtype=bool)
+        iterations = np.zeros(llrs.shape[0], dtype=np.int64)
+        # Frames stopped at iteration 0 keep the channel LLRs as posterior.
+        converged, stop = self._syndrome_stop(0, llrs)
         frame_ids = np.nonzero(~stop)[0]
 
         work_llrs = llrs[frame_ids]
-        bit_to_check = self._condition_messages(edges.gather_bits(work_llrs))
+        bit_to_check = self._condition_messages(graph.gather_bits(work_llrs))
 
         for iteration in range(1, self.max_iterations + 1):
             if frame_ids.size == 0:
@@ -101,15 +99,11 @@ class _CompactingFloodingMixin(MessagePassingDecoder):
             check_to_bit = self._condition_messages(
                 self._check_node_update(bit_to_check)
             )
-            bit_to_check, posterior = edges.bit_node_update(work_llrs, check_to_bit)
+            bit_to_check, posterior = graph.bit_node_update(work_llrs, check_to_bit)
             bit_to_check = self._condition_messages(bit_to_check)
             iterations[frame_ids] = iteration
 
-            syndrome_ok = edges.syndrome_ok(hard_decision(posterior))
-            converged[frame_ids] = syndrome_ok
-            stop = np.asarray(
-                self.stopping.should_stop(iteration, syndrome_ok), dtype=bool
-            )
+            converged[frame_ids], stop = self._syndrome_stop(iteration, posterior)
             # Compact: write finished frames out, keep only the rest.  The
             # final iteration finishes every remaining frame, so the output
             # arrays are always fully written when the loop ends.
@@ -179,47 +173,38 @@ class BatchedSumProductDecoder(_CompactingFloodingMixin, SumProductDecoder):
 class BatchedLayeredMinSumDecoder(LayeredMinSumDecoder):
     """Batched layered min-sum; bit-identical to :class:`LayeredMinSumDecoder`.
 
-    The layered schedule's scatter-add posterior update runs on the
-    compacted working arrays directly (``np.add.at`` applies additions in
-    row-major index order, per frame, exactly as in the reference loop).
+    Runs the same per-layer sub-graph kernels on the compacted working
+    arrays; each layer's messages are a column slice of ``check_to_bit``
+    (a view, no fancy-index copy).  The scatter-add posterior update
+    applies its additions in row-major index order, per frame, exactly as
+    in the reference loop.
     """
 
-    def _run_layered(
+    def _run_message_passing(
         self, llrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        total = llrs.shape[0]
         posterior_out = llrs.copy()
-        converged = np.zeros(total, dtype=bool)
-        iterations = np.zeros(total, dtype=np.int64)
-
-        syndrome_ok = self._edges.syndrome_ok(hard_decision(llrs))
-        converged[:] = syndrome_ok
-        stop = np.asarray(self.stopping.should_stop(0, syndrome_ok), dtype=bool)
+        iterations = np.zeros(llrs.shape[0], dtype=np.int64)
+        converged, stop = self._syndrome_stop(0, llrs)
         frame_ids = np.nonzero(~stop)[0]
 
         posterior = llrs[frame_ids].copy()
         check_to_bit = np.zeros(
-            (frame_ids.size, self._edges.num_edges), dtype=np.float64
+            (frame_ids.size, self._graph.num_edges), dtype=np.float64
         )
 
         for iteration in range(1, self.max_iterations + 1):
             if frame_ids.size == 0:
                 break
-            for layer in self._layers:
-                edge_idx = layer.edge_indices
-                old_c2b = check_to_bit[:, edge_idx]
-                bit_to_check = posterior[:, layer.edge_bits] - old_c2b
-                new_c2b = layer.min_sum_extrinsic(bit_to_check, self.scale)
-                delta = new_c2b - old_c2b
-                np.add.at(posterior, (slice(None), layer.edge_bits), delta)
-                check_to_bit[:, edge_idx] = new_c2b
+            for layer in self.layers:
+                old_c2b = check_to_bit[:, layer.edge_slice]
+                bit_to_check = layer.gather_bits(posterior) - old_c2b
+                new_c2b = layer.min_sum_extrinsic(bit_to_check, scale=self.scale)
+                np.add.at(posterior, (slice(None), layer.edge_bit), new_c2b - old_c2b)
+                check_to_bit[:, layer.edge_slice] = new_c2b
             iterations[frame_ids] = iteration
 
-            syndrome_ok = self._edges.syndrome_ok(hard_decision(posterior))
-            converged[frame_ids] = syndrome_ok
-            stop = np.asarray(
-                self.stopping.should_stop(iteration, syndrome_ok), dtype=bool
-            )
+            converged[frame_ids], stop = self._syndrome_stop(iteration, posterior)
             finished = stop if iteration < self.max_iterations else np.ones_like(stop)
             if finished.any():
                 posterior_out[frame_ids[finished]] = posterior[finished]

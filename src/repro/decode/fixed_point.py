@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.channel.quantize import FixedPointFormat, UniformQuantizer
-from repro.decode.base import MessagePassingDecoder
-from repro.decode.min_sum import DEFAULT_ALPHA
+from repro.decode.min_sum import DEFAULT_ALPHA, NormalizedMinSumDecoder
 from repro.registry import Param, register_decoder
 
 __all__ = ["QuantizedMinSumDecoder", "DEFAULT_MESSAGE_FORMAT"]
@@ -38,7 +37,7 @@ DEFAULT_MESSAGE_FORMAT = FixedPointFormat(total_bits=6, fractional_bits=2)
     ],
     summary="Fixed-point normalized min-sum modelling the FPGA datapath",
 )
-class QuantizedMinSumDecoder(MessagePassingDecoder):
+class QuantizedMinSumDecoder(NormalizedMinSumDecoder):
     """Normalized min-sum with quantized channel values and messages.
 
     Parameters
@@ -66,25 +65,14 @@ class QuantizedMinSumDecoder(MessagePassingDecoder):
         channel_format: FixedPointFormat | None = None,
         **kwargs,
     ):
-        super().__init__(code, max_iterations, **kwargs)
-        if alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        self.alpha = float(alpha)
+        super().__init__(code, max_iterations, alpha=alpha, **kwargs)
         self.message_format = message_format
         self.channel_format = channel_format or message_format
         self._message_quantizer = UniformQuantizer(self.message_format)
         self._channel_quantizer = UniformQuantizer(self.channel_format)
-
-    @property
-    def scale(self) -> float:
-        """Multiplicative correction ``1 / alpha``."""
-        return 1.0 / self.alpha
 
     def _condition_channel(self, channel_llrs: np.ndarray) -> np.ndarray:
         return self._channel_quantizer.quantize(channel_llrs)
 
     def _condition_messages(self, messages: np.ndarray) -> np.ndarray:
         return self._message_quantizer.quantize(messages)
-
-    def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check, scale=self.scale)

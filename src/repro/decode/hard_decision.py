@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decode.base import FrameBatchDecoder
-from repro.decode.messages import EdgeStructure
 from repro.decode.result import DecodeResult
-from repro.encode.systematic import as_parity_check_matrix
 from repro.registry import Param, register_decoder
 from repro.utils.bits import hard_decision
 
@@ -51,22 +49,13 @@ class GallagerBDecoder(FrameBatchDecoder):
     """
 
     def __init__(self, code, max_iterations: int = 30, *, flip_threshold: int | None = None):
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
-        self.max_iterations = int(max_iterations)
+        super().__init__(code, max_iterations)
         if flip_threshold is None:
             max_degree = int(self._pcm.bit_degrees().max()) if self._pcm.block_length else 1
             flip_threshold = max_degree // 2 + 1
         if flip_threshold < 1:
             raise ValueError("flip_threshold must be at least 1")
         self.flip_threshold = int(flip_threshold)
-
-    @property
-    def block_length(self) -> int:
-        """Codeword length."""
-        return self._pcm.block_length
 
     def _decode_array(self, llrs: np.ndarray) -> DecodeResult:
         """Decode from channel LLRs (only their signs are used).
@@ -141,19 +130,10 @@ class WeightedBitFlippingDecoder(FrameBatchDecoder):
     """
 
     def __init__(self, code, max_iterations: int = 50, *, flips_per_iteration: int = 1):
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        super().__init__(code, max_iterations)
         if flips_per_iteration < 1:
             raise ValueError("flips_per_iteration must be at least 1")
-        self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
-        self.max_iterations = int(max_iterations)
         self.flips_per_iteration = int(flips_per_iteration)
-
-    @property
-    def block_length(self) -> int:
-        """Codeword length."""
-        return self._pcm.block_length
 
     def _decode_array(self, llrs: np.ndarray) -> DecodeResult:
         """Decode from channel LLRs (signs for decisions, magnitudes as reliabilities).
@@ -169,9 +149,9 @@ class WeightedBitFlippingDecoder(FrameBatchDecoder):
         iterations = np.zeros(batch, dtype=np.int64)
 
         check_idx, bit_idx = self._pcm.edges()
-        edges = self._edges
+        graph = self._graph
         # Minimum reliability seen by each check (fixed across iterations).
-        min_reliability = edges.min_per_check(edges.gather_bits(reliability))
+        min_reliability = graph.min_per_check(graph.gather_bits(reliability))
 
         for frame in range(batch):
             frame_bits = bits[frame]

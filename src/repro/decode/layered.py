@@ -8,72 +8,29 @@ roughly twice as fast as the flooding schedule — one of the classic design
 knobs of LDPC decoder architectures and an ablation point for the paper's
 flooding-style base architecture.
 
-For Quasi-Cyclic codes the natural layers are the block rows of the circulant
-array (the CCSDS code has two), but any partition of the checks works.
+A layer is a contiguous range of checks.  For Quasi-Cyclic codes the natural
+layers are the block rows of the circulant array (the CCSDS code has two),
+but any split works.  Because the shared
+:class:`~repro.decode.graph.TannerGraph` sorts its edges by check, a layer's
+edges are one contiguous slice of the global edge array, and the graph hands
+out each layer as a cached sub-graph of the same type
+(:meth:`~repro.decode.graph.TannerGraph.layers`).  The layered schedule
+therefore runs the very check-node kernels of the flooding decoders — only
+the schedule (:meth:`LayeredMinSumDecoder._run_message_passing`) differs.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from repro.decode.base import FrameBatchDecoder
-from repro.decode.messages import EdgeStructure
-from repro.decode.min_sum import DEFAULT_ALPHA
-from repro.decode.result import DecodeResult
-from repro.decode.stopping import StoppingCriterion, SyndromeStopping
-from repro.encode.systematic import as_parity_check_matrix
+from repro.decode.min_sum import DEFAULT_ALPHA, NormalizedMinSumDecoder
+from repro.decode.stopping import StoppingCriterion
 from repro.registry import Param, register_decoder
 from repro.utils.bits import hard_decision
 
 __all__ = ["LayeredMinSumDecoder"]
-
-
-class _Layer:
-    """Edge indexing restricted to one group of check nodes."""
-
-    def __init__(self, structure: EdgeStructure, check_mask: np.ndarray):
-        edge_mask = check_mask[structure.edge_check]
-        self.edge_indices = np.nonzero(edge_mask)[0]
-        layer_checks = structure.edge_check[self.edge_indices]
-        self.edge_bits = structure.edge_bit[self.edge_indices]
-        # Segment boundaries within the layer's (already check-sorted) edges.
-        _, self.check_starts = np.unique(layer_checks, return_index=True)
-        # Per-edge segment index and check degree, precomputed once.  A
-        # degree-1 check (possible after puncturing/shortening) has no
-        # "other" incoming edges, hence no extrinsic information — without
-        # the guard its masked second minimum is +inf and poisons the
-        # posterior (mirrors EdgeStructure.min_sum_extrinsic).
-        num_edges = self.edge_indices.size
-        self.segment_of_edge = (
-            np.searchsorted(self.check_starts, np.arange(num_edges), "right") - 1
-        )
-        segment_sizes = np.diff(np.append(self.check_starts, num_edges))
-        self.edge_check_degree = segment_sizes[self.segment_of_edge]
-
-    def min_sum_extrinsic(self, messages: np.ndarray, scale: float) -> np.ndarray:
-        """Scaled min-sum update over this layer's edges only."""
-        magnitudes = np.abs(messages)
-        signs = np.where(messages < 0, -1.0, 1.0)
-        starts = self.check_starts
-
-        negatives = (messages < 0).astype(np.int64)
-        negative_counts = np.add.reduceat(negatives, starts, axis=1)
-        total_sign = 1.0 - 2.0 * (negative_counts % 2).astype(np.float64)
-
-        min1 = np.minimum.reduceat(magnitudes, starts, axis=1)
-        # Map per-segment values back onto edges.
-        segment_of_edge = self.segment_of_edge
-        min1_on_edges = min1[:, segment_of_edge]
-        is_min = magnitudes == min1_on_edges
-        min_counts = np.add.reduceat(is_min.astype(np.int64), starts, axis=1)
-        masked = np.where(is_min, np.inf, magnitudes)
-        min2 = np.minimum.reduceat(masked, starts, axis=1)
-        min2 = np.where(min_counts > 1, min1, min2)
-
-        extrinsic_sign = total_sign[:, segment_of_edge] * signs
-        extrinsic_mag = np.where(is_min, min2[:, segment_of_edge], min1_on_edges)
-        extrinsic_mag = np.where(self.edge_check_degree <= 1, 0.0, extrinsic_mag)
-        return extrinsic_sign * (scale * extrinsic_mag)
 
 
 @register_decoder(
@@ -86,7 +43,7 @@ class _Layer:
     ],
     summary="Row-layered normalized min-sum (faster convergence schedule)",
 )
-class LayeredMinSumDecoder(FrameBatchDecoder):
+class LayeredMinSumDecoder(NormalizedMinSumDecoder):
     """Layered-schedule normalized min-sum decoder.
 
     Parameters
@@ -106,56 +63,20 @@ class LayeredMinSumDecoder(FrameBatchDecoder):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         alpha: float = DEFAULT_ALPHA,
         num_layers: int | None = None,
         stopping: StoppingCriterion | None = None,
-    ):
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if alpha < 1.0:
-            raise ValueError("alpha must be >= 1")
-        self._pcm = as_parity_check_matrix(code)
-        self._edges = EdgeStructure(self._pcm)
-        self.max_iterations = int(max_iterations)
-        self.alpha = float(alpha)
-        self.stopping = stopping if stopping is not None else SyndromeStopping()
-
+    ) -> None:
+        super().__init__(code, max_iterations, alpha=alpha, stopping=stopping)
         if num_layers is None:
             num_layers = getattr(getattr(code, "spec", None), "row_blocks", None) or 2
-        num_layers = max(1, min(int(num_layers), self._pcm.num_checks))
-        self.num_layers = num_layers
-        boundaries = np.linspace(0, self._pcm.num_checks, num_layers + 1, dtype=np.int64)
-        self._layers: list[_Layer] = []
-        for i in range(num_layers):
-            mask = np.zeros(self._pcm.num_checks, dtype=bool)
-            mask[boundaries[i] : boundaries[i + 1]] = True
-            self._layers.append(_Layer(self._edges, mask))
+        self.num_layers = max(1, min(int(num_layers), self._pcm.num_checks))
+        self.layers = self._graph.layers(self.num_layers)
 
-    # ------------------------------------------------------------------ #
-    @property
-    def scale(self) -> float:
-        """Multiplicative correction ``1 / alpha``."""
-        return 1.0 / self.alpha
-
-    @property
-    def block_length(self) -> int:
-        """Codeword length."""
-        return self._pcm.block_length
-
-    # ------------------------------------------------------------------ #
-    def _decode_array(self, llrs: np.ndarray) -> DecodeResult:
-        bits, posterior, converged, iterations = self._run_layered(llrs)
-        return DecodeResult(
-            bits=bits,
-            posterior_llrs=posterior,
-            converged=converged,
-            iterations=iterations,
-        )
-
-    def _run_layered(
+    def _run_message_passing(
         self, llrs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The layered sweep on ``(batch, n)`` LLRs (full-array reference).
@@ -165,13 +86,8 @@ class LayeredMinSumDecoder(FrameBatchDecoder):
         """
         batch = llrs.shape[0]
         posterior = llrs.copy()
-        check_to_bit = np.zeros((batch, self._edges.num_edges), dtype=np.float64)
-
-        # Iteration 0: syndrome of the channel hard decisions, before any
-        # layer is processed (same convention as the flooding decoders).
-        syndrome_ok = self._edges.syndrome_ok(hard_decision(llrs))
-        converged = np.asarray(syndrome_ok, dtype=bool).copy()
-        stop = np.asarray(self.stopping.should_stop(0, syndrome_ok), dtype=bool)
+        check_to_bit = np.zeros((batch, self._graph.num_edges), dtype=np.float64)
+        converged, stop = self._syndrome_stop(0, llrs)
         active = ~stop
         iterations = np.zeros(batch, dtype=np.int64)
 
@@ -179,27 +95,22 @@ class LayeredMinSumDecoder(FrameBatchDecoder):
             idx = np.nonzero(active)[0]
             if idx.size == 0:
                 break
-            for layer in self._layers:
-                edge_idx = layer.edge_indices
-                old_c2b = check_to_bit[np.ix_(idx, edge_idx)]
-                bit_to_check = posterior[np.ix_(idx, layer.edge_bits)] - old_c2b
-                new_c2b = layer.min_sum_extrinsic(bit_to_check, self.scale)
+            for layer in self.layers:
+                old_c2b = check_to_bit[idx, layer.edge_slice]
+                bit_to_check = layer.gather_bits(posterior[idx]) - old_c2b
+                new_c2b = layer.min_sum_extrinsic(bit_to_check, scale=self.scale)
                 # Immediate posterior update: subtract the old contribution,
                 # add the new one (scatter-add because a bit may appear on
                 # several edges of the same layer).
-                delta = new_c2b - old_c2b
                 np.add.at(
                     posterior,
-                    (idx[:, None], layer.edge_bits[None, :]),
-                    delta,
+                    (idx[:, None], layer.edge_bit[None, :]),
+                    new_c2b - old_c2b,
                 )
-                check_to_bit[np.ix_(idx, edge_idx)] = new_c2b
+                check_to_bit[idx, layer.edge_slice] = new_c2b
             iterations[idx] = iteration
 
-            hard = hard_decision(posterior[idx])
-            syndrome_ok = self._edges.syndrome_ok(hard)
-            converged[idx] = syndrome_ok
-            stop = self.stopping.should_stop(iteration, syndrome_ok)
-            active[idx[np.asarray(stop, dtype=bool)]] = False
+            converged[idx], stop = self._syndrome_stop(iteration, posterior[idx])
+            active[idx[stop]] = False
 
         return hard_decision(posterior), posterior, converged, iterations

@@ -10,6 +10,8 @@ approximation.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.decode.base import MessagePassingDecoder
@@ -38,11 +40,8 @@ class MinSumDecoder(MessagePassingDecoder):
     decoder matches with 18.
     """
 
-    def __init__(self, code, max_iterations: int = 18, **kwargs):
-        super().__init__(code, max_iterations, **kwargs)
-
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check)
+        return self._graph.min_sum_extrinsic(bit_to_check)
 
 
 @register_decoder(
@@ -69,12 +68,12 @@ class NormalizedMinSumDecoder(MessagePassingDecoder):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         alpha: float = DEFAULT_ALPHA,
-        **kwargs,
-    ):
+        **kwargs: Any,
+    ) -> None:
         super().__init__(code, max_iterations, **kwargs)
         if alpha < 1.0:
             raise ValueError("alpha must be >= 1 (the paper requires alpha > 1)")
@@ -86,7 +85,7 @@ class NormalizedMinSumDecoder(MessagePassingDecoder):
         return 1.0 / self.alpha
 
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check, scale=self.scale)
+        return self._graph.min_sum_extrinsic(bit_to_check, scale=self.scale)
 
 
 @register_decoder(
@@ -107,16 +106,16 @@ class OffsetMinSumDecoder(MessagePassingDecoder):
 
     def __init__(
         self,
-        code,
+        code: Any,
         max_iterations: int = 18,
         *,
         beta: float = 0.15,
-        **kwargs,
-    ):
+        **kwargs: Any,
+    ) -> None:
         super().__init__(code, max_iterations, **kwargs)
         if beta < 0.0:
             raise ValueError("beta must be non-negative")
         self.beta = float(beta)
 
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.min_sum_extrinsic(bit_to_check, offset=self.beta)
+        return self._graph.min_sum_extrinsic(bit_to_check, offset=self.beta)

@@ -24,8 +24,5 @@ __all__ = ["SumProductDecoder"]
 class SumProductDecoder(MessagePassingDecoder):
     """Belief-propagation decoding with the exact tanh check-node rule."""
 
-    def __init__(self, code, max_iterations: int = 18, **kwargs):
-        super().__init__(code, max_iterations, **kwargs)
-
     def _check_node_update(self, bit_to_check: np.ndarray) -> np.ndarray:
-        return self.edge_structure.sum_product_extrinsic(bit_to_check)
+        return self._graph.sum_product_extrinsic(bit_to_check)

@@ -8,6 +8,7 @@ from repro.channel.llr import channel_llrs
 from repro.channel.modulation import BPSKModulator
 from repro.channel.quantize import FixedPointFormat
 from repro.decode import (
+    BatchedLayeredMinSumDecoder,
     LayeredMinSumDecoder,
     NormalizedMinSumDecoder,
     QuantizedMinSumDecoder,
@@ -115,6 +116,34 @@ class TestLayeredDecoder:
         flooding = NormalizedMinSumDecoder(pcm, max_iterations=1).decode(llrs)
         assert np.isfinite(layered.posterior_llrs).all()
         np.testing.assert_allclose(layered.posterior_llrs, flooding.posterior_llrs)
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 4])
+    def test_all_zero_check_row_serial_and_batched_agree(self, num_layers):
+        """An all-zero check row has no edges; with one layer per check
+        (``num_layers == num_checks``) a whole layer has zero edges.  The
+        serial and batched schedules must still agree bit for bit."""
+        from repro.codes.parity_check import ParityCheckMatrix
+
+        h = np.array(
+            [
+                [1, 1, 0, 1, 1, 0, 0],
+                [1, 0, 1, 1, 0, 1, 0],
+                [0, 0, 0, 0, 0, 0, 0],  # all-zero check row
+                [0, 1, 1, 1, 0, 0, 1],
+            ],
+            dtype=np.uint8,
+        )
+        pcm = ParityCheckMatrix(h)
+        llrs = np.random.default_rng(5).normal(1.0, 2.0, size=(40, 7))
+        serial = LayeredMinSumDecoder(pcm, max_iterations=5, num_layers=num_layers)
+        batched = BatchedLayeredMinSumDecoder(
+            pcm, max_iterations=5, num_layers=num_layers
+        )
+        expected = serial.decode(llrs)
+        got = batched.decode(llrs)
+        for field in ("bits", "posterior_llrs", "converged", "iterations"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(expected, field))
+        assert np.isfinite(expected.posterior_llrs).all()
 
 
 class TestQuantizedDecoder:

@@ -1,15 +1,15 @@
-"""Unit tests for repro.decode.messages (edge structure and update kernels)."""
+"""Unit tests for repro.decode.graph (edge structure and update kernels)."""
 
 import numpy as np
 import pytest
 
 from repro.codes.parity_check import ParityCheckMatrix
-from repro.decode.messages import EdgeStructure
+from repro.decode.graph import tanner_graph
 
 
 @pytest.fixture
 def small_structure(hamming_pcm):
-    return EdgeStructure(hamming_pcm)
+    return tanner_graph(hamming_pcm)
 
 
 def brute_force_min_sum(pcm, bit_to_check, scale=1.0, offset=0.0):
@@ -75,14 +75,14 @@ class TestStructure:
 
 class TestMinSumKernel:
     def test_matches_brute_force(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(3, structure.num_edges))
         fast = structure.min_sum_extrinsic(messages)
         slow = brute_force_min_sum(hamming_pcm, messages)
         assert np.allclose(fast, slow)
 
     def test_scale_and_offset(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(2, structure.num_edges))
         assert np.allclose(
             structure.min_sum_extrinsic(messages, scale=0.8),
@@ -94,7 +94,7 @@ class TestMinSumKernel:
         )
 
     def test_duplicate_minimum_handled(self, hamming_pcm):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         # All magnitudes equal: the extrinsic magnitude must stay that value.
         messages = np.ones((1, structure.num_edges))
         out = structure.min_sum_extrinsic(messages)
@@ -102,7 +102,7 @@ class TestMinSumKernel:
 
     def test_matches_brute_force_on_qc_code(self, scaled_code, rng):
         pcm = scaled_code.parity_check_matrix()
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         messages = rng.normal(size=(1, structure.num_edges))
         fast = structure.min_sum_extrinsic(messages)
         # Only check a subset of edges against brute force (the full brute
@@ -113,7 +113,7 @@ class TestMinSumKernel:
 
 class TestSumProductKernel:
     def test_matches_brute_force(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(2, structure.num_edges))
         assert np.allclose(
             structure.sum_product_extrinsic(messages),
@@ -123,14 +123,14 @@ class TestSumProductKernel:
 
     def test_min_sum_upper_bounds_bp(self, hamming_pcm, rng):
         """|min-sum output| >= |BP output| on every edge (the known bias)."""
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(4, structure.num_edges))
         ms = np.abs(structure.min_sum_extrinsic(messages))
         bp = np.abs(structure.sum_product_extrinsic(messages))
         assert (ms >= bp - 1e-9).all()
 
     def test_signs_agree(self, hamming_pcm, rng):
-        structure = EdgeStructure(hamming_pcm)
+        structure = tanner_graph(hamming_pcm)
         messages = rng.normal(size=(2, structure.num_edges)) * 3
         ms = structure.min_sum_extrinsic(messages)
         bp = structure.sum_product_extrinsic(messages)
@@ -156,3 +156,31 @@ class TestBitNodeUpdate:
     def test_syndrome_ok(self, small_structure):
         zero = np.zeros((2, 7), dtype=np.uint8)
         assert small_structure.syndrome_ok(zero).tolist() == [True, True]
+
+
+class TestGraphSharing:
+    """Every decoder on one code holds the one cached graph (and its layers)."""
+
+    def test_decoders_on_one_code_share_graph_layout_and_layers(self, scaled_code):
+        from repro.decode import (
+            BatchedLayeredMinSumDecoder,
+            GallagerBDecoder,
+            LayeredMinSumDecoder,
+            NormalizedMinSumDecoder,
+        )
+
+        decoders = [
+            NormalizedMinSumDecoder(scaled_code),
+            NormalizedMinSumDecoder(scaled_code, alpha=1.5),
+            LayeredMinSumDecoder(scaled_code),
+            BatchedLayeredMinSumDecoder(scaled_code),
+            GallagerBDecoder(scaled_code),
+        ]
+        graph = decoders[0].edge_structure
+        assert all(decoder.edge_structure is graph for decoder in decoders)
+        # The lazily built padded layout is built once, for everyone.
+        layout = decoders[1].edge_structure._padded_check_layout()
+        assert graph._padded_check_layout() is layout
+        layered, batched = decoders[2], decoders[3]
+        assert len(layered.layers) == layered.num_layers
+        assert all(a is b for a, b in zip(layered.layers, batched.layers))

@@ -8,7 +8,7 @@ from repro.channel.quantize import FixedPointFormat, UniformQuantizer
 from repro.codes.parity_check import ParityCheckMatrix
 from repro.codes.qc import CirculantSpec, QCLDPCCode
 from repro.decode import BatchedMinSumDecoder, DecodeResult, MinSumDecoder
-from repro.decode.messages import EdgeStructure
+from repro.decode.graph import tanner_graph
 from repro.gf2.circulant import Circulant
 from repro.gf2.dense import gf2_matmul, gf2_matvec, gf2_null_space, gf2_rank
 from repro.gf2.polynomial import poly_add, poly_degree, poly_divmod, poly_mul, poly_trim
@@ -201,7 +201,7 @@ class TestDecoderKernelProperties:
         if not matrix.any():
             return
         pcm = ParityCheckMatrix(matrix)
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         rng = np.random.default_rng(seed)
         messages = rng.normal(0, 3, size=(1, structure.num_edges))
         out = structure.min_sum_extrinsic(messages)
@@ -214,7 +214,7 @@ class TestDecoderKernelProperties:
         if not matrix.any():
             return
         pcm = ParityCheckMatrix(matrix)
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         rng = np.random.default_rng(seed)
         messages = rng.normal(0, 2, size=(1, structure.num_edges))
         bp = structure.sum_product_extrinsic(messages)
@@ -225,7 +225,7 @@ class TestDecoderKernelProperties:
     @given(binary_matrices, st.integers(0, 2**32 - 1))
     def test_bit_node_update_linearity_in_channel(self, matrix, seed):
         pcm = ParityCheckMatrix(matrix)
-        structure = EdgeStructure(pcm)
+        structure = tanner_graph(pcm)
         rng = np.random.default_rng(seed)
         llrs = rng.normal(size=(1, pcm.block_length))
         c2b = rng.normal(size=(1, structure.num_edges))

@@ -848,6 +848,84 @@ class TestBatchedGoldenCounts:
         assert got == self.GOLDEN_BATCHED
 
 
+def _point(ebn0, ber, fer, bit_errors, frame_errors, frames, iterations,
+           info_ber, info_bit_errors):
+    """One stored curve point of the scaled twin (n=496, k=436)."""
+    return {"ebn0_db": ebn0, "ber": ber, "fer": fer, "bit_errors": bit_errors,
+            "frame_errors": frame_errors, "bits": 496 * frames, "frames": frames,
+            "average_iterations": iterations, "info_ber": info_ber,
+            "info_bit_errors": info_bit_errors, "info_bits": 436 * frames}
+
+
+class TestScheduleGoldenCounts:
+    """Golden counts for the layered schedule and the hard-decision decoders.
+
+    Recorded before the layered decoder moved onto per-layer Tanner
+    sub-graphs (and the hard-decision decoders onto the shared decoder
+    set-up).  ``layered`` and ``layered-batched`` both run the new layer
+    kernels, so comparing the two cannot catch drift; these fixed counts
+    can.  ``layered-3`` splits the 62 checks unevenly (20/21/21).
+    """
+
+    GOLDEN = {
+        "layered": [
+            _point(2.0, 0.053629032258064514, 1.0, 266, 10, 10, 8.0,
+                   0.05298165137614679, 231),
+            _point(6.5, 0.0, 0.0, 0, 0, 40, 0.7, 0.0, 0),
+        ],
+        "layered-3": [
+            _point(2.0, 0.05060483870967742, 1.0, 251, 10, 10, 8.0,
+                   0.04954128440366973, 216),
+            _point(6.5, 0.0, 0.0, 0, 0, 40, 0.75, 0.0, 0),
+        ],
+        "gallager-b": [
+            _point(2.0, 0.501008064516129, 1.0, 2485, 10, 10, 8.0,
+                   0.49954128440366974, 2178),
+            _point(6.5, 0.025403225806451612, 0.55, 252, 11, 20, 4.75,
+                   0.02522935779816514, 220),
+        ],
+        "wbf": [
+            _point(2.0, 0.06592741935483871, 1.0, 327, 10, 10, 8.0,
+                   0.06536697247706422, 285),
+            _point(6.5, 0.0012096774193548388, 0.3, 12, 6, 20, 1.5,
+                   0.0010321100917431193, 9),
+        ],
+    }
+
+    def golden_spec(self, layered_kind: str) -> CampaignSpec:
+        code = CodeSpec(family="scaled", circulant=31)
+        return CampaignSpec(
+            name="golden-schedules",
+            seed=1234,
+            ebn0=(2.0, 6.5),
+            config=SimulationConfig(
+                max_frames=40, target_frame_errors=6, batch_frames=10,
+                all_zero_codeword=False,
+            ),
+            experiments=[
+                ExperimentSpec("layered", code, DecoderSpec(layered_kind, 8)),
+                ExperimentSpec(
+                    "layered-3", code,
+                    DecoderSpec(layered_kind, 8, params={"num_layers": 3}),
+                ),
+                ExperimentSpec("gallager-b", code, DecoderSpec("gallager-b", 8)),
+                ExperimentSpec("wbf", code, DecoderSpec("wbf", 8)),
+            ],
+        )
+
+    @pytest.mark.parametrize("layered_kind", ["layered", "layered-batched"])
+    def test_counts_byte_identical(self, tmp_path, layered_kind):
+        spec = self.golden_spec(layered_kind)
+        curves = CampaignScheduler(
+            spec, ResultStore.create(tmp_path / "c", spec), workers=None
+        ).run()
+        got = {
+            label: [p.as_dict() for p in curve.points]
+            for label, curve in curves.items()
+        }
+        assert got == self.GOLDEN
+
+
 class TestPreRedesignCompatibility:
     """The registry/channel redesign must not invalidate anything historical."""
 

@@ -25,6 +25,9 @@ PROMOTED = sorted(
         *(REPO_ROOT / "src" / "repro" / "fabric").glob("*.py"),
         REPO_ROOT / "src" / "repro" / "decode" / "graph.py",
         REPO_ROOT / "src" / "repro" / "decode" / "batched.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "base.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "layered.py",
+        REPO_ROOT / "src" / "repro" / "decode" / "min_sum.py",
         REPO_ROOT / "src" / "repro" / "sim" / "parallel.py",
     ]
 )
@@ -35,7 +38,8 @@ def test_mypy_ini_promotes_the_modules():
     config.read(REPO_ROOT / "mypy.ini")
     for section in (
         "mypy-repro.fabric,repro.fabric.*",
-        "mypy-repro.decode.graph,repro.decode.batched",
+        "mypy-repro.decode.graph,repro.decode.batched,repro.decode.base,"
+        "repro.decode.layered,repro.decode.min_sum",
         "mypy-repro.sim.parallel",
     ):
         assert config.has_section(section), section
