@@ -27,8 +27,8 @@ import numpy as np
 from repro.channel.awgn import ebn0_to_sigma
 from repro.channel.llr import channel_llrs
 from repro.channel.modulation import BPSKModulator
+from repro.codes.parity_check import as_parity_check_matrix
 from repro.decode.graph import tanner_graph
-from repro.encode.systematic import as_parity_check_matrix
 from repro.utils.rng import ensure_rng
 
 __all__ = [

@@ -101,6 +101,10 @@ def build_ccsds_c2_transmission_code(
     weights make H rank deficient), so the number of shortened bits is
     computed from the actual dimension rather than hard-coded.  For scaled
     circulant sizes the frame parameters are scaled proportionally.
+
+    The virtual fill is the first information positions of H's systematic
+    form, so a random-data simulation can zero exactly those information
+    bits before encoding.
     """
     code = build_ccsds_c2_code(circulant_size=circulant_size, seed=seed)
     scale = circulant_size / CCSDS_C2_CIRCULANT_SIZE
@@ -109,7 +113,13 @@ def build_ccsds_c2_transmission_code(
     if frame_length is None:
         frame_length = int(round(CCSDS_C2_TX_FRAME_LENGTH * scale))
     info_bits = min(info_bits, code.dimension)
-    return ShortenedCode(code, info_bits=info_bits, frame_length=frame_length)
+    _, information_positions, _ = code.parity_check_matrix().systematic_form()
+    return ShortenedCode(
+        code,
+        info_bits=info_bits,
+        frame_length=frame_length,
+        shortened_positions=information_positions[: code.dimension - info_bits],
+    )
 
 
 def build_scaled_ccsds_code(

@@ -2,19 +2,34 @@
 
 ``ParityCheckMatrix`` owns the sparse H matrix of an LDPC code and exposes
 the views the rest of the library needs: degree profiles, syndrome checks,
-edge lists for the decoders, rank/dimension (computed lazily because the
-dense row-reduction of the full CCSDS matrix is a multi-second operation),
-and the scatter data used to reproduce Figure 2 of the paper.
+edge lists for the decoders, the scatter data used to reproduce Figure 2 of
+the paper, and the systematic form of H.
+
+The systematic form is the one GF(2) row reduction of H in the library.  The
+CCSDS C2 matrix has even-weight columns, so H is rank deficient and both the
+code dimension ``k = n - rank(H)`` and the systematic encoder's parity map
+come out of that elimination.  :meth:`ParityCheckMatrix.systematic_form`
+runs it lazily, once per matrix, and keeps the result; ``rank``,
+``dimension`` and :class:`~repro.encode.systematic.SystematicEncoder` all
+read it.  The elimination takes about 0.75 s on the full 1022 x 8176 C2
+matrix and about 5 ms on the n = 1008 scaled twin (2-core x86 VM,
+numpy 2.4).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Any
 
-from repro.gf2.dense import gf2_rank
+import numpy as np
+import numpy.typing as npt
+
+from repro.gf2.dense import gf2_row_reduce
 from repro.gf2.sparse import SparseBinaryMatrix
 
-__all__ = ["ParityCheckMatrix"]
+__all__ = ["ParityCheckMatrix", "as_parity_check_matrix"]
+
+#: ``(parity_positions, information_positions, packed_parity_map)`` of H.
+_SystematicForm = tuple[npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.uint8]]
 
 
 class ParityCheckMatrix:
@@ -28,12 +43,12 @@ class ParityCheckMatrix:
         and ``n`` the code length.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix: SparseBinaryMatrix | npt.ArrayLike) -> None:
         if isinstance(matrix, SparseBinaryMatrix):
             self._sparse = matrix
         else:
             self._sparse = SparseBinaryMatrix.from_dense(np.asarray(matrix))
-        self._rank: int | None = None
+        self._systematic: _SystematicForm | None = None
 
     # ------------------------------------------------------------------ #
     # Basic dimensions
@@ -60,10 +75,8 @@ class ParityCheckMatrix:
 
     @property
     def rank(self) -> int:
-        """GF(2) rank of H (computed once, then cached)."""
-        if self._rank is None:
-            self._rank = gf2_rank(self._sparse.to_dense())
-        return self._rank
+        """GF(2) rank of H: the number of pivots of :meth:`systematic_form`."""
+        return int(self.systematic_form()[0].size)
 
     @property
     def dimension(self) -> int:
@@ -79,6 +92,28 @@ class ParityCheckMatrix:
     def rate(self) -> float:
         """True code rate ``k / n`` using the actual rank of H."""
         return self.dimension / self.block_length
+
+    def systematic_form(self) -> _SystematicForm:
+        """``(parity_positions, information_positions, packed_parity_map)`` of H.
+
+        One GF(2) row reduction of H, run on the first call and kept.  The
+        pivot columns of the reduced matrix are the *parity positions* and
+        the free columns the *information positions*, both ascending.  Pivot
+        row ``r`` reads ``c[parity_positions[r]] = sum_f map[r, f] *
+        c[information_positions[f]]``; the ``(rank, k)`` map is stored
+        bit-packed along the information axis (``np.packbits(map, axis=1)``),
+        which keeps the memo of the full C2 matrix under 1 MB.  The arrays
+        are read-only because every caller shares them.
+        """
+        if self._systematic is None:
+            reduced, pivots = gf2_row_reduce(self._sparse.to_dense())
+            parity = np.array(pivots, dtype=np.int64)
+            info = np.setdiff1d(np.arange(self.block_length, dtype=np.int64), parity)
+            packed = np.packbits(reduced[: parity.size][:, info], axis=1)
+            for array in (parity, info, packed):
+                array.flags.writeable = False
+            self._systematic = (parity, info, packed)
+        return self._systematic
 
     # ------------------------------------------------------------------ #
     # Degree profiles
@@ -121,16 +156,16 @@ class ParityCheckMatrix:
         """``(check_index, bit_index)`` arrays of every edge, sorted by check."""
         return self._sparse.row_indices, self._sparse.col_indices
 
-    def syndrome(self, codeword) -> np.ndarray:
+    def syndrome(self, codeword: npt.ArrayLike) -> np.ndarray:
         """Syndrome ``H @ c^T mod 2`` for a codeword or a batch of codewords."""
         return self._sparse.matvec(codeword)
 
-    def is_codeword(self, word) -> bool | np.ndarray:
+    def is_codeword(self, word: npt.ArrayLike) -> bool | np.ndarray:
         """Whether a word (or each word of a batch) satisfies all parity checks."""
         syndrome = self.syndrome(word)
         if syndrome.ndim == 1:
             return bool(not syndrome.any())
-        return ~syndrome.any(axis=1)
+        return np.logical_not(syndrome.any(axis=1))
 
     # ------------------------------------------------------------------ #
     # Figure-2 style views
@@ -165,3 +200,19 @@ class ParityCheckMatrix:
             f"ParityCheckMatrix(m={self.num_checks}, n={self.block_length}, "
             f"edges={self.num_edges})"
         )
+
+
+def as_parity_check_matrix(code: Any) -> ParityCheckMatrix:
+    """Coerce a code-like object into a :class:`ParityCheckMatrix`.
+
+    Accepts a ``ParityCheckMatrix``, any object exposing a
+    ``parity_check_matrix()`` method (``QCLDPCCode``), an object with a
+    ``base_code`` attribute (``ShortenedCode``), or a dense 0/1 array.
+    """
+    if isinstance(code, ParityCheckMatrix):
+        return code
+    if hasattr(code, "parity_check_matrix"):
+        return code.parity_check_matrix()
+    if hasattr(code, "base_code"):
+        return as_parity_check_matrix(code.base_code)
+    return ParityCheckMatrix(np.asarray(code))

@@ -108,15 +108,14 @@ class CirculantSpec:
 class QCLDPCCode:
     """A Quasi-Cyclic LDPC code expanded from a :class:`CirculantSpec`.
 
-    The expansion to a sparse parity-check matrix and the dense rank
-    computation are performed lazily and cached, because the full CCSDS code
-    is large (8176 columns, ~32k edges).
+    The expansion to a sparse parity-check matrix is performed lazily and
+    cached, because the full CCSDS code is large (8176 columns, ~32k edges);
+    the matrix in turn memoizes its row reduction, which ``dimension`` reads.
     """
 
     def __init__(self, spec: CirculantSpec):
         self._spec = spec
         self._pcm: ParityCheckMatrix | None = None
-        self._dimension: int | None = None
 
     # ------------------------------------------------------------------ #
     # Structure
@@ -154,9 +153,7 @@ class QCLDPCCode:
         of H sum to zero and H is rank deficient; the dimension is therefore
         larger than ``n - m``.
         """
-        if self._dimension is None:
-            self._dimension = self.parity_check_matrix().dimension
-        return self._dimension
+        return self.parity_check_matrix().dimension
 
     @property
     def rate(self) -> float:

@@ -34,11 +34,10 @@ from typing import Any
 import numpy as np
 from numpy.typing import ArrayLike
 
-from repro.codes.parity_check import ParityCheckMatrix
+from repro.codes.parity_check import ParityCheckMatrix, as_parity_check_matrix
 from repro.decode.graph import TannerGraph, tanner_graph
 from repro.decode.result import DecodeResult
 from repro.decode.stopping import StoppingCriterion, SyndromeStopping
-from repro.encode.systematic import as_parity_check_matrix
 from repro.utils.bits import hard_decision
 
 __all__ = ["FrameBatchDecoder", "MessagePassingDecoder", "decode_frames"]

@@ -5,9 +5,11 @@ are the workhorses for deriving generator matrices from parity-check
 matrices, computing code dimensions, and verifying codewords in tests.
 
 They are written to be clear rather than maximally fast: the largest dense
-operation in the library is the one-off row reduction of the CCSDS
-1022 x 8176 parity-check matrix, which completes in a few seconds with the
-vectorized XOR elimination used below.
+operation in the library is the row reduction of the CCSDS 1022 x 8176
+parity-check matrix, which runs once per matrix (in
+``ParityCheckMatrix.systematic_form``) and takes about 0.75 s with the
+vectorized XOR elimination used below (about 5 ms for the n = 1008 scaled
+twin; 2-core x86 VM, numpy 2.4).
 """
 
 from __future__ import annotations

@@ -18,6 +18,8 @@ from repro.codes.ccsds_c2 import (
     build_scaled_ccsds_code,
 )
 from repro.codes.construction import spec_has_four_cycle
+from repro.decode import NormalizedMinSumDecoder
+from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
 
 FULL_SCALE = os.environ.get("REPRO_FULL_SCALE") == "1"
 
@@ -81,6 +83,16 @@ class TestTransmissionCode:
         assert shortened.info_bits <= shortened.base_code.dimension
         assert shortened.num_shortened == shortened.base_code.dimension - shortened.info_bits
         assert 0.85 < shortened.rate < 0.9
+
+    def test_scaled_transmission_code_simulates_random_data(self):
+        """Regression: the virtual fill used to sit on parity (pivot) columns,
+        so a random-data simulator refused the transmission code."""
+        shortened = build_ccsds_c2_transmission_code(circulant_size=31)
+        decoder = NormalizedMinSumDecoder(shortened, max_iterations=10)
+        config = SimulationConfig(max_frames=10, target_frame_errors=10, batch_frames=5)
+        point = MonteCarloSimulator(shortened, decoder, config=config, rng=8).run_point(7.0)
+        assert point.frames == 10
+        assert point.info_bits == point.frames * shortened.info_bits
 
     @pytest.mark.slow
     @pytest.mark.skipif(not FULL_SCALE, reason="full 8176-bit code (set REPRO_FULL_SCALE=1)")

@@ -1,9 +1,17 @@
 """Unit tests for repro.codes.parity_check."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import repro.gf2.dense
+from repro.codes import build_scaled_ccsds_code
 from repro.codes.parity_check import ParityCheckMatrix
+from repro.codes.shortening import ShortenedCode
+from repro.decode import NormalizedMinSumDecoder
+from repro.encode import SystematicEncoder
+from repro.sim.montecarlo import MonteCarloSimulator, SimulationConfig
 
 
 class TestDimensions:
@@ -23,6 +31,48 @@ class TestDimensions:
         # Even column weight implies the rows of H sum to zero.
         assert pcm.rank < pcm.num_checks
         assert pcm.dimension == pcm.block_length - pcm.rank
+
+
+class TestSystematicForm:
+    def test_one_elimination_per_matrix(self, monkeypatch):
+        """Dimension, encoders, a random-data simulator and shortening share
+        one GF(2) row reduction of H."""
+        calls = []
+        real = repro.gf2.dense.gf2_row_reduce
+
+        def counting(matrix):
+            calls.append(np.shape(matrix))
+            return real(matrix)
+
+        for module in list(sys.modules.values()):
+            if module is not None and module.__name__.startswith("repro") and (
+                getattr(module, "gf2_row_reduce", None) is real
+            ):
+                monkeypatch.setattr(module, "gf2_row_reduce", counting)
+
+        code = build_scaled_ccsds_code(31)
+        assert code.dimension == 436
+        first = SystematicEncoder(code)
+        second = SystematicEncoder(code)
+        decoder = NormalizedMinSumDecoder(code, max_iterations=5)
+        config = SimulationConfig(max_frames=4, target_frame_errors=4, batch_frames=4)
+        MonteCarloSimulator(code, decoder, config=config, rng=0).run_point(6.0)
+        ShortenedCode.from_encoder(code, second, info_bits=code.dimension - 8)
+        parity, info, _ = code.parity_check_matrix().systematic_form()
+        assert len(calls) == 1
+        for encoder in (first, second):
+            assert np.array_equal(encoder.parity_positions, parity)
+            assert np.array_equal(encoder.information_positions, info)
+
+    def test_memo_is_shared_and_read_only(self, hamming_pcm):
+        form = hamming_pcm.systematic_form()
+        assert hamming_pcm.systematic_form() is form
+        parity, info, packed = form
+        assert parity.size == hamming_pcm.rank
+        assert sorted(parity.tolist() + info.tolist()) == list(range(7))
+        assert packed.shape == (hamming_pcm.rank, 1)
+        for array in form:
+            assert not array.flags.writeable
 
 
 class TestDegrees:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.codes.parity_check import ParityCheckMatrix
-from repro.encode.systematic import SystematicEncoder, as_parity_check_matrix
+from repro.codes.parity_check import ParityCheckMatrix, as_parity_check_matrix
+from repro.encode.systematic import SystematicEncoder
 
 
 class TestAsParityCheckMatrix:
@@ -77,54 +77,7 @@ class TestScaledCodeEncoder:
             scaled_encoder.encode(np.full(scaled_encoder.dimension, 2))
 
 
-class TestEncoderDiskCache:
-    def test_cache_file_written_and_loaded(self, hamming_pcm, tmp_path, monkeypatch):
-        cold = SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
-        cached = list(tmp_path.glob("*.npz"))
-        assert len(cached) == 1
-        # A warm build must not run Gaussian elimination at all.
-        import repro.encode.systematic as module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("row reduction ran despite a warm cache")
-
-        monkeypatch.setattr(module, "gf2_row_reduce", boom)
-        warm = SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
-        info = np.array([[1, 0, 1, 1], [0, 1, 1, 0]], dtype=np.uint8)
-        assert np.array_equal(cold.encode(info), warm.encode(info))
-        assert np.array_equal(
-            cold.information_positions, warm.information_positions
-        )
-
-    def test_distinct_matrices_get_distinct_entries(self, hamming_pcm, scaled_code, tmp_path):
-        SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
-        SystematicEncoder(scaled_code, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("*.npz"))) == 2
-
-    def test_corrupt_cache_falls_back_to_recompute(self, hamming_pcm, tmp_path):
-        reference = SystematicEncoder(hamming_pcm, cache_dir=None)
-        SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
-        (cache_file,) = tmp_path.glob("*.npz")
-        cache_file.write_bytes(b"not an npz archive")
-        recovered = SystematicEncoder(hamming_pcm, cache_dir=tmp_path)
-        info = np.array([1, 0, 1, 1], dtype=np.uint8)
-        assert np.array_equal(reference.encode(info), recovered.encode(info))
-
-    def test_cache_dir_none_writes_nothing(self, hamming_pcm, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path / "unused"))
-        SystematicEncoder(hamming_pcm, cache_dir=None)
-        assert not (tmp_path / "unused").exists()
-
-    def test_env_variable_controls_default(self, hamming_pcm, tmp_path, monkeypatch):
-        from repro.encode.systematic import default_encoder_cache_dir
-
-        monkeypatch.setenv("REPRO_ENCODER_CACHE", "off")
-        assert default_encoder_cache_dir() is None
-        monkeypatch.setenv("REPRO_ENCODER_CACHE", str(tmp_path / "cachedir"))
-        assert default_encoder_cache_dir() == tmp_path / "cachedir"
-        SystematicEncoder(hamming_pcm)
-        assert len(list((tmp_path / "cachedir").glob("*.npz"))) == 1
-
+class TestParityCheckFingerprint:
     def test_fingerprint_distinguishes_shapes_and_content(self, hamming_pcm):
         from repro.encode.systematic import parity_check_fingerprint
 

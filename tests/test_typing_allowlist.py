@@ -29,6 +29,8 @@ PROMOTED = sorted(
         REPO_ROOT / "src" / "repro" / "decode" / "layered.py",
         REPO_ROOT / "src" / "repro" / "decode" / "min_sum.py",
         REPO_ROOT / "src" / "repro" / "sim" / "parallel.py",
+        REPO_ROOT / "src" / "repro" / "codes" / "parity_check.py",
+        REPO_ROOT / "src" / "repro" / "encode" / "systematic.py",
     ]
 )
 
@@ -41,6 +43,7 @@ def test_mypy_ini_promotes_the_modules():
         "mypy-repro.decode.graph,repro.decode.batched,repro.decode.base,"
         "repro.decode.layered,repro.decode.min_sum",
         "mypy-repro.sim.parallel",
+        "mypy-repro.codes.parity_check,repro.encode.systematic",
     ):
         assert config.has_section(section), section
         assert config.get(section, "ignore_errors") == "False"
